@@ -21,8 +21,8 @@ from .currents import (
 )
 from .errors import ConfigError, RejectionError, WignerFlowError
 from .fluxes import (
-    FluxReport,
     OrbitRegion,
+    Snapshot,
     interpolate_on_orbit,
     oracle_flux,
     orbit_interior_mask,

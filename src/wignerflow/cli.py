@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from . import fluxes as fx
 from .classical import solve_orbit
 from .currents import DEFAULT_NU_MAX
 from .errors import ConfigError, RejectionError, WignerFlowError
-from .grid import CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
+from .grid import MAX_DERIVATIVE_ORDER, CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
 from .observables import ENTROPY_FLOOR
 from .potentials import CATALOG, PotentialModel
 from .states import StateSpec, evaluate_state, evolve_wavefunction, wigner_transform
@@ -71,6 +72,9 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
 
 
+_MISSING = object()
+
+
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
@@ -83,132 +87,170 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _object(value, allowed: set, where: str) -> dict:
+    """A JSON object with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
+    _reject_unknown(value, allowed, where)
+    return value
+
+
+def _section(raw: dict, key: str, allowed: set, required: bool = False) -> dict:
+    """Top-level section ``key`` as an object; {} when absent (or null) and optional."""
+    if raw.get(key) is None and not required:
+        return {}
+    return _object(_require(raw, key, "top level"), allowed, key)
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
+    return list(value)
+
+
+def _finite(value, name: str, kind=float):
+    """``kind(value)`` when that is a finite number (integral for int); ConfigError otherwise."""
+    try:
+        out = kind(value)
+        if math.isfinite(out) and (kind is not int or float(value) == out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "integer" if kind is int else "number"
+    raise ConfigError(f"{name} must be a finite {noun}, got {value!r}")
+
+
+def _path(where: str, key: str) -> str:
+    return key if where == "top level" else f"{where}.{key}"
+
+
+def _number(section: dict, key: str, where: str, default=_MISSING, kind=float):
+    """section[key], or the default when absent, as a finite number."""
+    value = _require(section, key, where) if default is _MISSING else section.get(key, default)
+    return _finite(value, _path(where, key), kind)
+
+
+def _flag(section: dict, key: str, where: str) -> bool:
+    """section[key] as a JSON boolean, False when absent."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{_path(where, key)} must be true or false, got {value!r}")
+    return value
+
+
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a parsed JSON document against every module precondition."""
+    """Validate a parsed JSON document against every module precondition.
+
+    A module that rejects a configured value reports it as a ConfigError.
+    """
+    try:
+        return _parse(raw)
+    except RejectionError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     _reject_unknown(raw, _TOP_KEYS, "top level")
 
-    units = raw.get("units")
-    umap = DimensionlessMap()
-    if units is not None:
-        _reject_unknown(units, _UNITS_KEYS, "units")
-        try:
-            umap = DimensionlessMap(
-                float(units.get("m", 1.0)), float(units.get("omega", 1.0)), float(units.get("hbar", 1.0))
-            )
-        except RejectionError as exc:
-            raise ConfigError(str(exc)) from exc
+    units = _section(raw, "units", _UNITS_KEYS)
+    umap = DimensionlessMap(*(_number(units, key, "units", 1.0) for key in ("m", "omega", "hbar")))
 
-    pot_sec = _require(raw, "potential", "top level")
-    _reject_unknown(pot_sec, _POTENTIAL_KEYS, "potential")
+    pot_sec = _section(raw, "potential", _POTENTIAL_KEYS, required=True)
     kind = _require(pot_sec, "kind", "potential")
-    if kind not in CATALOG:
+    if not isinstance(kind, str) or kind not in CATALOG:
         raise ConfigError(f"unknown potential kind {kind!r}; catalog: {sorted(CATALOG)}")
-    try:
-        if kind in ("quartic_perturbed", "double_well"):
-            potential = CATALOG[kind](float(_require(pot_sec, "lambda", "potential")))
-        else:
-            if "lambda" in pot_sec:
-                raise ConfigError(f"potential {kind!r} takes no lambda parameter")
-            potential = CATALOG[kind]()
-    except RejectionError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind in ("quartic_perturbed", "double_well"):
+        potential = CATALOG[kind](_number(pot_sec, "lambda", "potential"))
+    else:
+        if "lambda" in pot_sec:
+            raise ConfigError(f"potential {kind!r} takes no lambda parameter")
+        potential = CATALOG[kind]()
 
-    state_sec = _require(raw, "state", "top level")
-    _reject_unknown(state_sec, _STATE_KEYS, "state")
+    state_sec = _section(raw, "state", _STATE_KEYS, required=True)
     skind = _require(state_sec, "kind", "state")
-    try:
-        if skind == "harmonic_eigenstate":
-            state = StateSpec(skind, n=int(_require(state_sec, "n", "state")))
-        elif skind in ("coherent", "cat"):
-            state = StateSpec(
-                skind,
-                x0=float(_require(state_sec, "x0", "state")),
-                k0=float(_require(state_sec, "k0", "state")),
-            )
-        elif skind == "superposition":
-            terms = _require(state_sec, "terms", "state")
-            parsed = []
-            for t in terms:
-                _reject_unknown(t, {"re", "im", "n"}, "state.terms[]")
-                parsed.append((complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))), int(_require(t, "n", "state.terms[]"))))
-            state = StateSpec(skind, terms=tuple(parsed))
-        else:
-            raise ConfigError(f"unknown state kind {skind!r}")
-    except RejectionError as exc:
-        raise ConfigError(str(exc)) from exc
+    if skind == "harmonic_eigenstate":
+        state = StateSpec(skind, n=_number(state_sec, "n", "state", kind=int))
+    elif skind in ("coherent", "cat"):
+        state = StateSpec(skind, x0=_number(state_sec, "x0", "state"), k0=_number(state_sec, "k0", "state"))
+    elif skind == "superposition":
+        parsed = []
+        for t in _list(_require(state_sec, "terms", "state"), "state.terms"):
+            t = _object(t, {"re", "im", "n"}, "state.terms[]")
+            coeff = complex(_number(t, "re", "state.terms[]", 0.0), _number(t, "im", "state.terms[]", 0.0))
+            parsed.append((coeff, _number(t, "n", "state.terms[]", kind=int)))
+        state = StateSpec(skind, terms=tuple(parsed))
+    else:
+        raise ConfigError(f"unknown state kind {skind!r}")
 
-    gsec = raw.get("grid", {})
-    _reject_unknown(gsec, _GRID_KEYS, "grid")
-    csec = raw.get("coordinate_grid", {})
-    _reject_unknown(csec, _CGRID_KEYS, "coordinate_grid")
-    try:
-        grid = PhaseSpaceGrid.centered(
-            float(gsec.get("x_max", 8.0)), float(gsec.get("k_max", 8.0)),
-            int(gsec.get("n_x", 256)), int(gsec.get("n_k", 256)),
-        )
-        cgrid = CoordinateGrid(float(csec.get("x_max", 16.0)), int(csec.get("n", 2048)))
-    except RejectionError as exc:
-        raise ConfigError(str(exc)) from exc
+    gsec = _section(raw, "grid", _GRID_KEYS)
+    csec = _section(raw, "coordinate_grid", _CGRID_KEYS)
+    grid = PhaseSpaceGrid.centered(
+        _number(gsec, "x_max", "grid", 8.0), _number(gsec, "k_max", "grid", 8.0),
+        _number(gsec, "n_x", "grid", 256, int), _number(gsec, "n_k", "grid", 256, int),
+    )
+    cgrid = CoordinateGrid(_number(csec, "x_max", "coordinate_grid", 16.0), _number(csec, "n", "coordinate_grid", 2048, int))
 
-    nu_max = int(raw.get("nu_max", DEFAULT_NU_MAX))
+    nu_max = _number(raw, "nu_max", "top level", DEFAULT_NU_MAX, int)
     if nu_max < 0:
         raise ConfigError(f"nu_max must be >= 0, got {nu_max}")
-    epsilon_entropy = float(raw.get("epsilon_entropy", ENTROPY_FLOOR))
+    if 2 * nu_max > MAX_DERIVATIVE_ORDER:
+        raise ConfigError(
+            f"nu_max={nu_max} needs k-derivatives of order {2 * nu_max}, "
+            f"beyond the supported maximum {MAX_DERIVATIVE_ORDER}"
+        )
+    epsilon_entropy = _number(raw, "epsilon_entropy", "top level", ENTROPY_FLOOR)
     if epsilon_entropy <= 0:
         raise ConfigError(f"epsilon_entropy must be positive, got {epsilon_entropy}")
     epsilon_mask = raw.get("epsilon_mask")
     if epsilon_mask is not None:
-        epsilon_mask = float(epsilon_mask)
+        epsilon_mask = _finite(epsilon_mask, "epsilon_mask")
         if epsilon_mask <= 0:
             raise ConfigError(f"epsilon_mask must be positive, got {epsilon_mask}")
 
-    betas = tuple(float(b) for b in raw.get("beta_list", (0.5, 2.0, 3.0)))
+    betas = tuple(_finite(b, "beta_list[]") for b in _list(raw.get("beta_list", (0.5, 2.0, 3.0)), "beta_list"))
     for b in betas:
         if b == 1.0:
             raise ConfigError("beta must differ from 1")
         if b <= 0:
             raise ConfigError(f"beta must be positive, got {b}")
 
-    osec = _require(raw, "orbit", "top level")
-    _reject_unknown(osec, _ORBIT_KEYS, "orbit")
-    x0 = float(_require(osec, "x0", "orbit"))
-    k0 = float(_require(osec, "k0", "orbit"))
-    if units is not None and ("q0" in units or "p0" in units):
-        x0 = umap.x_from_q(float(units.get("q0", umap.q_from_x(x0))))
-        k0 = umap.k_from_p(float(units.get("p0", umap.p_from_k(k0))))
-    orbit_dtau = float(osec.get("dtau", 1e-4))
-    orbit_samples = int(osec.get("samples", 4096))
-    orbit_tau_limit = float(osec.get("tau_limit", 1e3))
+    osec = _section(raw, "orbit", _ORBIT_KEYS, required=True)
+    x0 = _number(osec, "x0", "orbit")
+    k0 = _number(osec, "k0", "orbit")
+    if "q0" in units or "p0" in units:
+        x0 = umap.x_from_q(_number(units, "q0", "units", umap.q_from_x(x0)))
+        k0 = umap.k_from_p(_number(units, "p0", "units", umap.p_from_k(k0)))
+    orbit_dtau = _number(osec, "dtau", "orbit", 1e-4)
+    orbit_samples = _number(osec, "samples", "orbit", 4096, int)
+    orbit_tau_limit = _number(osec, "tau_limit", "orbit", 1e3)
     if orbit_dtau <= 0 or orbit_samples < 16 or orbit_tau_limit <= 0:
         raise ConfigError("orbit dtau, samples and tau_limit must be positive (samples >= 16)")
     grad = np.hypot(k0, float(potential.derivative(x0, 1)))
     if grad <= 1e-12:
         raise ConfigError(f"orbit start ({x0}, {k0}) is an equilibrium point")
 
-    dtau = float(raw.get("dtau", 1e-3))
-    dtau_fd = float(raw.get("dtau_fd", 1e-3))
-    if units is not None:
-        if "dt" in units:
-            dtau = umap.tau_from_t(float(units["dt"]))
-        if "dt_fd" in units:
-            dtau_fd = umap.tau_from_t(float(units["dt_fd"]))
+    dtau = _number(raw, "dtau", "top level", 1e-3)
+    dtau_fd = _number(raw, "dtau_fd", "top level", 1e-3)
+    if "dt" in units:
+        dtau = umap.tau_from_t(_number(units, "dt", "units"))
+    if "dt_fd" in units:
+        dtau_fd = umap.tau_from_t(_number(units, "dt_fd", "units"))
     if dtau <= 0 or dtau_fd <= 0:
         raise ConfigError("dtau and dtau_fd must be positive")
 
-    times = raw.get("output_times", [0.0])
-    if units is not None and "t_out" in units:
-        times = [umap.tau_from_t(float(t)) for t in units["t_out"]]
-    times = tuple(float(t) for t in times)
+    if "t_out" in units:
+        times = tuple(umap.tau_from_t(_finite(t, "units.t_out[]")) for t in _list(units["t_out"], "units.t_out"))
+    else:
+        times = tuple(_finite(t, "output_times[]") for t in _list(raw.get("output_times", [0.0]), "output_times"))
     if not times or any(t < 0 for t in times) or list(times) != sorted(times):
         raise ConfigError("output_times must be a non-empty ascending list of times >= 0")
 
-    acc = raw.get("accumulation", {})
-    _reject_unknown(acc, _ACC_KEYS, "accumulation")
-    accumulate = bool(acc.get("enabled", False))
-    acc_nodes = int(acc.get("time_nodes", 32))
-    acc_dtau = float(acc.get("dtau", dtau))
+    acc = _section(raw, "accumulation", _ACC_KEYS)
+    accumulate = _flag(acc, "enabled", "accumulation")
+    acc_nodes = _number(acc, "time_nodes", "accumulation", 32, int)
+    acc_dtau = _number(acc, "dtau", "accumulation", dtau)
     if accumulate and (acc_nodes < 4 or acc_dtau <= 0):
         raise ConfigError("accumulation needs time_nodes >= 4 and a positive dtau")
 
@@ -231,16 +273,13 @@ def parse_config(raw: dict) -> RunConfig:
         accumulate=accumulate,
         accumulation_nodes=acc_nodes,
         accumulation_dtau=acc_dtau,
-        emit_fields=bool(raw.get("emit_fields", False)),
+        emit_fields=_flag(raw, "emit_fields", "top level"),
         echo=raw,
     )
 
 
 def load_config(path: str | Path) -> RunConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise exc
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -254,6 +293,17 @@ def _stage(name: str):
         yield
     except RejectionError as exc:
         raise RejectionError(f"[{name}] {exc}") from exc
+
+
+def _finite_or_null(value):
+    """The report with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 def _fmt(value) -> str:
@@ -372,20 +422,21 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
                 epsilon_entropy=config.epsilon_entropy, region=region,
             )
 
-    report = fx.FluxReport(
-        config=config.echo,
-        orbit={
+    report = {
+        "config": config.echo,
+        "orbit": {
             "start": list(config.orbit_start),
             "energy": orbit.energy,
             "period": orbit.period,
             "samples": int(orbit.x.size),
             "single_well_asymmetric": bool(orbit.single_well_asymmetric),
         },
-        times=blocks,
-        accumulated=accumulated,
+        "times": blocks,
+        "accumulated": accumulated,
+    }
+    (out / "report.json").write_text(
+        json.dumps(_finite_or_null(report), indent=2, allow_nan=False), encoding="utf-8"
     )
-
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2), encoding="utf-8")
 
     header, rows = _flux_csv_rows(blocks, config.beta_list)
     with (out / "fluxes.csv").open("w", newline="") as fh:

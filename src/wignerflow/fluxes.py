@@ -4,12 +4,19 @@ Loop integrals of the quantum current remainder Delta J against the
 weights {1, ln W, W, W**(beta-1)} quantify probability, entropy, purity
 and Renyi-entropy transport across a classical orbit; all of them vanish
 identically when the current is classical.  Signs follow the printed
-loop formulas:
+loop formulas (LOOP_WEIGHTS):
 
     sigma:  - integral dtau  Delta J_k  dx/dtau
     svn:    + integral dtau  ln|W| Delta J_k  dx/dtau
     purity: - integral dtau  W Delta J_k  dx/dtau
     renyi:  - integral dtau  W**(beta-1) Delta J_k  dx/dtau
+
+Each Wigner snapshot is evaluated once: a Snapshot computes the current,
+Delta J_k, div(w), one bicubic spline of W (sampled on the orbit and on
+the region's refined lattice) and one of Delta J_k (sampled on the orbit)
+at most once each, and every loop flux, volume term and region quantity
+of that snapshot is read from those samples.  The single-quantity
+functions below are thin wrappers that build a Snapshot for one field.
 
 An independent oracle cross-checks each loop value by central finite
 differences of the orbit-interior integral of the matching quantity,
@@ -21,12 +28,13 @@ int W**p div(w) dV over the enclosed region, which volume_term provides.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .currents import DEFAULT_NU_MAX, delta_current, div_w, wigner_current
+from .currents import DEFAULT_NU_MAX, CurrentField, MaskedField, delta_current, div_w, wigner_current
 from .errors import RejectionError
 from .classical import ClassicalOrbit
 from .grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
@@ -36,23 +44,37 @@ from .states import StateSpec, WignerField, evaluate_state, evolve_wavefunction,
 
 QUANTITIES = ("sigma", "svn", "purity", "renyi")
 
+#: Sign and weight(W, beta) of each loop flux, sign * integral dtau weight Delta J_k dx/dtau.
+#: W is the orbit samples (loop form) or one sample (diagonal form); callers
+#: apply each quantity's rejection rules first and pass |W| to a fractional power.
+LOOP_WEIGHTS = {
+    "sigma": (-1.0, lambda w, beta: 1.0),
+    "svn": (1.0, lambda w, beta: np.log(np.abs(w))),
+    "purity": (-1.0, lambda w, beta: w),
+    "renyi": (-1.0, lambda w, beta: w ** (beta - 1.0)),
+}
+
+
+def _volume_weight(values: np.ndarray, weight: str | float) -> np.ndarray:
+    """Volume weight of int weight * div(w) dV: "one" W, "w" W^2, beta (beta-1) W**beta."""
+    if weight == "one":
+        return values
+    if weight == "w":
+        return values**2
+    beta = float(weight)
+    return (beta - 1.0) * power_field(values, beta)
+
+
+def _spline(grid: PhaseSpaceGrid, values: np.ndarray) -> RectBivariateSpline:
+    return RectBivariateSpline(grid.x, grid.k, np.asarray(values, dtype=float))
+
 
 def interpolate_on_orbit(grid: PhaseSpaceGrid, values: np.ndarray, orbit: ClassicalOrbit) -> np.ndarray:
     """Bicubic samples of a grid field at the orbit points.
 
     The orbit must stay at least two cells inside the grid boundary.
     """
-    pad_x = 2 * grid.h_x
-    pad_k = 2 * grid.h_k
-    if (
-        np.min(orbit.x) < grid.x_min + pad_x
-        or np.max(orbit.x) > grid.x_max - pad_x
-        or np.min(orbit.k) < grid.k_min + pad_k
-        or np.max(orbit.k) > grid.k_max - pad_k
-    ):
-        raise RejectionError("orbit leaves the safe grid interior (two-cell margin)")
-    spline = RectBivariateSpline(grid.x, grid.k, np.asarray(values, dtype=float))
-    return spline.ev(orbit.x, orbit.k)
+    return Snapshot(WignerField(values, grid), orbit).w_on
 
 
 def _scanline_inside(xs: np.ndarray, ks: np.ndarray, vx: np.ndarray, vk: np.ndarray) -> np.ndarray:
@@ -98,13 +120,7 @@ class OrbitRegion:
     used by volume_term.
     """
 
-    def __init__(
-        self,
-        orbit: ClassicalOrbit,
-        grid: PhaseSpaceGrid,
-        refine: int = 4,
-        subsamples: int = 8,
-    ) -> None:
+    def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid, refine: int = 4, subsamples: int = 8) -> None:
         self.orbit = orbit
         self.grid = grid
         self.mask = orbit_interior_mask(orbit, grid)
@@ -125,50 +141,207 @@ class OrbitRegion:
         inside = inside.reshape(self._fx.size, subsamples, self._fk.size, subsamples)
         self._weights = inside.mean(axis=(1, 3))
 
-    def integral(self, values: np.ndarray, func=None) -> float:
-        """Integral over the enclosed region of func(W) (default: W itself)."""
-        spline = RectBivariateSpline(self.grid.x, self.grid.k, np.asarray(values, dtype=float))
-        fine = spline(self._fx, self._fk)
+    def refine(self, spline: RectBivariateSpline) -> np.ndarray:
+        """Samples of a fitted grid spline on the refined lattice."""
+        return spline(self._fx, self._fk)
+
+    def fine_integral(self, fine: np.ndarray, func=None) -> float:
+        """Integral over the enclosed region of func(fine) for refined-lattice samples."""
         if func is not None:
             fine = func(fine)
         return float(np.sum(fine * self._weights) * self._cell_area)
 
+    def integral(self, values: np.ndarray, func=None) -> float:
+        """Integral over the enclosed region of func(W) (default: W itself)."""
+        return self.fine_integral(self.refine(_spline(self.grid, values)), func)
+
     def quantity(self, w: WignerField, name: str, beta: float | None = None, floor: float = ENTROPY_FLOOR) -> float:
         """Region-restricted sigma / S_vN / purity / Renyi power integral."""
+        return Snapshot(w, region=self).quantity(name, beta, floor)
+
+
+def _loop_sum(weights, delta_jk: np.ndarray, orbit: ClassicalOrbit) -> float:
+    return float(np.sum(weights * delta_jk * orbit.vx) * orbit.dtau)
+
+
+@dataclass
+class VolumeTermResult:
+    value: float
+    masked_in_region: int
+
+    def __float__(self) -> float:
+        return self.value
+
+
+@dataclass(eq=False)
+class Snapshot:
+    """One Wigner snapshot and its derived fields, each computed at most once.
+
+    Fields are lazy: region quantities need only the region and never build
+    the current; loop fluxes need the orbit (checked to lie two cells inside
+    the grid) and the potential; volume terms need the potential.  A snapshot
+    holds several grid-sized arrays, so keep it no longer than its time node.
+    """
+
+    w: WignerField
+    orbit: ClassicalOrbit | None = None
+    potential: PotentialModel | None = None
+    nu_max: int = DEFAULT_NU_MAX
+    region: OrbitRegion | None = None
+    epsilon_mask: float | None = None
+
+    def __post_init__(self) -> None:
+        grid, orbit = self.w.grid, self.orbit
+        if orbit is not None and (
+            np.min(orbit.x) < grid.x_min + 2 * grid.h_x
+            or np.max(orbit.x) > grid.x_max - 2 * grid.h_x
+            or np.min(orbit.k) < grid.k_min + 2 * grid.h_k
+            or np.max(orbit.k) > grid.k_max - 2 * grid.h_k
+        ):
+            raise RejectionError("orbit leaves the safe grid interior (two-cell margin)")
+
+    @cached_property
+    def current(self) -> CurrentField:
+        return wigner_current(self.w, self.potential, self.nu_max)
+
+    @cached_property
+    def dj_k(self) -> np.ndarray:
+        """Delta J_k on the grid."""
+        return delta_current(self.current, self.w, self.potential).jk
+
+    @cached_property
+    def div(self) -> MaskedField:
+        return div_w(self.current, self.w, self.epsilon_mask)
+
+    @cached_property
+    def w_spline(self) -> RectBivariateSpline:
+        return _spline(self.w.grid, self.w.values)
+
+    @cached_property
+    def w_on(self) -> np.ndarray:
+        """W at the orbit samples."""
+        return self.w_spline.ev(self.orbit.x, self.orbit.k)
+
+    @cached_property
+    def dj_on(self) -> np.ndarray:
+        """Delta J_k at the orbit samples."""
+        return _spline(self.w.grid, self.dj_k).ev(self.orbit.x, self.orbit.k)
+
+    @cached_property
+    def fine_w(self) -> np.ndarray:
+        """W on the region's refined lattice."""
+        return self.region.refine(self.w_spline)
+
+    def loop(self, name: str, beta: float | None = None, epsilon: float = ENTROPY_FLOOR) -> float:
+        """Loop flux of one quantity, with that quantity's rejection rules.
+
+        epsilon is the |W| floor of the ln|W| weight and the sign floor of a
+        fractional-power Renyi weight.
+        """
+        if name == "svn" and epsilon <= 0:
+            raise RejectionError(f"epsilon must be positive, got {epsilon}")
+        if name == "renyi" and (beta <= 0 or beta == 1.0):
+            raise RejectionError(f"beta must be positive and different from 1, got {beta}")
+        w_on = None if name == "sigma" else self.w_on
+        if name == "svn":
+            total = self.w.total()
+            if abs(total - 1.0) > 1e-4:
+                warnings.warn(
+                    f"svn_flux on an unnormalized field (integral {total:.6g}): "
+                    "the ln W weight is scale-sensitive", RuntimeWarning, stacklevel=3,
+                )
+            small = np.abs(w_on) <= epsilon
+            if np.any(small):
+                i = int(np.argmax(small))
+                raise RejectionError(
+                    f"|W|={abs(w_on[i]):.3e} <= epsilon at orbit sample {i} "
+                    f"(x={self.orbit.x[i]:.6g}, k={self.orbit.k[i]:.6g})"
+                )
+        elif name == "renyi" and not float(beta - 1.0).is_integer():
+            negative = int(np.count_nonzero((w_on < 0.0) & (np.abs(w_on) > epsilon)))
+            if negative:
+                raise RejectionError(f"W**(beta-1) undefined for beta={beta}: {negative} negative orbit samples")
+            w_on = np.abs(w_on)
+        sign, weight = LOOP_WEIGHTS[name]
+        return sign * _loop_sum(weight(w_on, beta), self.dj_on, self.orbit)
+
+    def volume(self, weight: str | float, mask: np.ndarray | None = None) -> VolumeTermResult:
+        """Volume correction int weight * div(w) dV over a node mask (see volume_term)."""
+        dv = self.div
+        integrand = _volume_weight(self.w.values, weight) * dv.values
+        keep = dv.valid if mask is None else (dv.valid & mask)
+        n_region = int(np.count_nonzero(mask)) if mask is not None else self.w.values.size
+        masked = n_region - int(np.count_nonzero(keep))
+        return VolumeTermResult(integrate_volume(self.w.grid, integrand, mask=keep), masked)
+
+    def quantity(self, name: str, beta: float | None = None, floor: float = ENTROPY_FLOOR) -> float:
+        """Region-restricted sigma / S_vN / purity / Renyi power integral."""
+        integral = self.region.fine_integral
         if name == "sigma":
-            return self.integral(w.values)
+            return integral(self.fine_w)
         if name == "svn":
             def neg_w_log(v):
                 keep = np.abs(v) > floor
                 out = np.zeros_like(v)
                 out[keep] = -v[keep] * np.log(np.abs(v[keep]))
                 return out
-            return self.integral(w.values, neg_w_log)
+            return integral(self.fine_w, neg_w_log)
         if name == "purity":
-            return 2.0 * np.pi * self.integral(w.values, np.square)
+            return 2.0 * np.pi * integral(self.fine_w, np.square)
         if name == "renyi":
             if beta is None:
                 raise RejectionError("renyi quantity needs beta")
-            return self.integral(w.values, lambda v: power_field(v, beta, floor))
+            return integral(self.fine_w, lambda v: power_field(v, beta, floor))
         raise RejectionError(f"unknown quantity {name!r}")
 
+    def block(self, betas, epsilon_entropy: float = ENTROPY_FLOOR) -> dict:
+        """All loop fluxes, volume terms and balance forms (see instantaneous_block)."""
+        mask = self.region.mask
+        block: dict = {"tau": self.w.tau}
 
-def _delta_jk_on_orbit(
-    w: WignerField, orbit: ClassicalOrbit, potential: PotentialModel, nu_max: int
-) -> np.ndarray:
-    j = wigner_current(w, potential, nu_max)
-    dj = delta_current(j, w, potential)
-    return interpolate_on_orbit(w.grid, dj.jk, orbit)
+        sig = self.loop("sigma")
+        block["sigma"] = {"loop": sig, "full": sig}
 
+        for name, weight, volume_sign in (("svn", "one", 1.0), ("purity", "w", -1.0)):
+            flux = self.loop(name, epsilon=epsilon_entropy)
+            vt = self.volume(weight, mask)
+            block[name] = {
+                "loop": flux,
+                "volume_term": vt.value,
+                "masked_nodes": vt.masked_in_region,
+                "full": flux + volume_sign * vt.value,
+            }
 
-def _loop_sum(weights: np.ndarray, delta_jk: np.ndarray, orbit: ClassicalOrbit) -> float:
-    return float(np.sum(weights * delta_jk * orbit.vx) * orbit.dtau)
+        block["renyi"] = {}
+        for beta in betas:
+            try:
+                flux = self.loop("renyi", beta, epsilon_entropy)
+            except RejectionError as exc:
+                block["renyi"][f"{beta:g}"] = {"rejected": str(exc)}
+                continue
+            entry = {"loop": flux}
+            # The volume correction and region power integral raise for
+            # non-integer beta whenever W dips negative somewhere on the grid or
+            # region; the loop value above stays valid, so degrade per piece.
+            try:
+                vt = self.volume(beta, mask)
+                entry.update(volume_term=vt.value, masked_nodes=vt.masked_in_region, full=flux - vt.value)
+            except RejectionError as exc:
+                entry["volume_term_rejected"] = str(exc)
+            try:
+                power_integral = self.quantity("renyi", beta, epsilon_entropy)
+                entry["region_power_integral"] = power_integral
+                if power_integral > 0:
+                    entry["rate"] = flux / power_integral
+            except RejectionError as exc:
+                entry["rate_rejected"] = str(exc)
+            block["renyi"][f"{beta:g}"] = entry
+        return block
 
 
 def sigma_flux(w: WignerField, orbit: ClassicalOrbit, potential: PotentialModel, nu_max: int = DEFAULT_NU_MAX) -> float:
     """Probability flux across the orbit: instantaneous rate of the enclosed probability."""
-    djk = _delta_jk_on_orbit(w, orbit, potential, nu_max)
-    return -_loop_sum(np.ones_like(djk), djk, orbit)
+    return Snapshot(w, orbit, potential, nu_max).loop("sigma")
 
 
 def svn_flux(
@@ -183,35 +356,14 @@ def svn_flux(
     Rejects when the orbit touches nodes with |W| <= epsilon; a silently
     floored weight would bias the integral.
     """
-    if epsilon <= 0:
-        raise RejectionError(f"epsilon must be positive, got {epsilon}")
-    total = w.total()
-    if abs(total - 1.0) > 1e-4:
-        warnings.warn(
-            f"svn_flux on an unnormalized field (integral {total:.6g}): "
-            "the ln W weight is scale-sensitive",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    djk = _delta_jk_on_orbit(w, orbit, potential, nu_max)
-    w_on = interpolate_on_orbit(w.grid, w.values, orbit)
-    small = np.abs(w_on) <= epsilon
-    if np.any(small):
-        i = int(np.argmax(small))
-        raise RejectionError(
-            f"|W|={abs(w_on[i]):.3e} <= epsilon at orbit sample {i} "
-            f"(x={orbit.x[i]:.6g}, k={orbit.k[i]:.6g})"
-        )
-    return _loop_sum(np.log(np.abs(w_on)), djk, orbit)
+    return Snapshot(w, orbit, potential, nu_max).loop("svn", epsilon=epsilon)
 
 
 def purity_flux(
     w: WignerField, orbit: ClassicalOrbit, potential: PotentialModel, nu_max: int = DEFAULT_NU_MAX
 ) -> float:
     """W-weighted loop flux, the loop form of the purity rate (no 2 pi factor)."""
-    djk = _delta_jk_on_orbit(w, orbit, potential, nu_max)
-    w_on = interpolate_on_orbit(w.grid, w.values, orbit)
-    return -_loop_sum(w_on, djk, orbit)
+    return Snapshot(w, orbit, potential, nu_max).loop("purity")
 
 
 def renyi_flux(
@@ -223,30 +375,7 @@ def renyi_flux(
     floor: float = ENTROPY_FLOOR,
 ) -> float:
     """W**(beta-1)-weighted loop flux; beta follows the Renyi-entropy rules."""
-    if beta <= 0 or beta == 1.0:
-        raise RejectionError(f"beta must be positive and different from 1, got {beta}")
-    djk = _delta_jk_on_orbit(w, orbit, potential, nu_max)
-    w_on = interpolate_on_orbit(w.grid, w.values, orbit)
-    exponent = beta - 1.0
-    if float(exponent).is_integer():
-        weights = w_on ** int(exponent) if exponent != 1.0 else w_on
-    else:
-        negative = int(np.count_nonzero((w_on < 0.0) & (np.abs(w_on) > floor)))
-        if negative:
-            raise RejectionError(
-                f"W**(beta-1) undefined for beta={beta}: {negative} negative orbit samples"
-            )
-        weights = np.abs(w_on) ** exponent
-    return -_loop_sum(weights, djk, orbit)
-
-
-@dataclass
-class VolumeTermResult:
-    value: float
-    masked_in_region: int
-
-    def __float__(self) -> float:
-        return self.value
+    return Snapshot(w, orbit, potential, nu_max).loop("renyi", beta, floor)
 
 
 def volume_term(
@@ -264,33 +393,24 @@ def volume_term(
     (beta - 1) int W**beta div(w).  Nodes where the phase-velocity quotient
     is masked contribute zero and are counted.
     """
-    j = wigner_current(w, potential, nu_max)
-    dv = div_w(j, w, epsilon)
-    if weight == "one":
-        integrand = w.values * dv.values
-    elif weight == "w":
-        integrand = w.values**2 * dv.values
-    else:
-        beta = float(weight)
-        integrand = (beta - 1.0) * power_field(w.values, beta) * dv.values
-    keep = dv.valid if region is None else (dv.valid & region)
-    n_region = int(np.count_nonzero(region)) if region is not None else w.values.size
-    masked = n_region - int(np.count_nonzero(keep))
-    return VolumeTermResult(integrate_volume(w.grid, integrand, mask=keep), masked)
+    return Snapshot(w, potential=potential, nu_max=nu_max, epsilon_mask=epsilon).volume(weight, region)
 
 
-def _evolve_to(
-    spec: StateSpec,
-    potential: PotentialModel,
-    cgrid: CoordinateGrid,
-    tau: float,
-    dtau_evolve: float,
-):
-    phi0 = evaluate_state(spec, cgrid, 0.0)
-    if tau == 0.0:
-        return phi0
-    n_steps = max(1, int(round(abs(tau) / dtau_evolve)))
-    return evolve_wavefunction(phi0, potential, tau / n_steps, n_steps)
+def _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region) -> list[Snapshot]:
+    """Snapshots of the state propagated from tau = 0 to tau - dtau_fd and to tau + dtau_fd."""
+    pair = []
+    for t in (tau - dtau_fd, tau + dtau_fd):
+        phi = evaluate_state(spec, cgrid, 0.0)
+        if t != 0.0:
+            n_steps = max(1, int(round(abs(t) / dtau_evolve)))
+            phi = evolve_wavefunction(phi, potential, t / n_steps, n_steps)
+        pair.append(Snapshot(wigner_transform(phi, pgrid), region=region))
+    return pair
+
+
+def _central_difference(pair: list[Snapshot], name: str, beta, floor: float, dtau_fd: float) -> float:
+    q = [snap.quantity(name, beta, floor) for snap in pair]
+    return (q[1] - q[0]) / (2.0 * dtau_fd)
 
 
 def oracle_flux(
@@ -323,12 +443,8 @@ def oracle_flux(
         raise RejectionError(f"dtau_fd must be positive, got {dtau_fd}")
     if region is None:
         region = OrbitRegion(orbit, pgrid)
-    q = []
-    for t in (tau - dtau_fd, tau + dtau_fd):
-        phi = _evolve_to(spec, potential, cgrid, t, dtau_evolve)
-        w = wigner_transform(phi, pgrid)
-        q.append(region.quantity(w, quantity, beta=beta, floor=floor))
-    return (q[1] - q[0]) / (2.0 * dtau_fd)
+    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region)
+    return _central_difference(pair, quantity, beta, floor, dtau_fd)
 
 
 def oracle_rates(
@@ -348,21 +464,18 @@ def oracle_rates(
     """All oracle rates at once from a single pair of evolved fields.
 
     Same finite-difference route as oracle_flux, sharing the two Wigner
-    builds across sigma, svn, purity and every requested beta.
+    builds and their refined-lattice samples across sigma, svn, purity and
+    every requested beta.
     """
     if region is None:
         region = OrbitRegion(orbit, pgrid)
-    fields = [
-        wigner_transform(_evolve_to(spec, potential, cgrid, t, dtau_evolve), pgrid)
-        for t in (tau - dtau_fd, tau + dtau_fd)
-    ]
+    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region)
 
     def diff(name: str, beta: float | None = None):
         try:
-            q = [region.quantity(w, name, beta=beta, floor=floor) for w in fields]
+            return _central_difference(pair, name, beta, floor, dtau_fd)
         except RejectionError as exc:
             return exc
-        return (q[1] - q[0]) / (2.0 * dtau_fd)
 
     out = {name: diff(name) for name in ("sigma", "svn", "purity")}
     out["renyi"] = {f"{b:g}": diff("renyi", b) for b in betas}
@@ -373,24 +486,6 @@ def _rel_dev(value: float, reference: float, floor: float = 1e-12) -> float:
     if abs(value) < floor and abs(reference) < floor:
         return 0.0
     return abs(value - reference) / max(abs(reference), floor)
-
-
-@dataclass
-class FluxReport:
-    """Machine-readable record of one flux run."""
-
-    config: dict
-    orbit: dict
-    times: list = field(default_factory=list)
-    accumulated: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "orbit": self.orbit,
-            "times": self.times,
-            "accumulated": self.accumulated,
-        }
 
 
 def instantaneous_block(
@@ -414,57 +509,7 @@ def instantaneous_block(
     """
     if region is None:
         region = OrbitRegion(orbit, w.grid)
-    mask = region.mask
-    block: dict = {"tau": w.tau}
-
-    sig = sigma_flux(w, orbit, potential, nu_max)
-    block["sigma"] = {"loop": sig, "full": sig}
-
-    svn = svn_flux(w, orbit, potential, nu_max, epsilon_entropy)
-    vt_svn = volume_term(w, potential, nu_max, epsilon_mask, mask, "one")
-    block["svn"] = {
-        "loop": svn,
-        "volume_term": vt_svn.value,
-        "masked_nodes": vt_svn.masked_in_region,
-        "full": svn + vt_svn.value,
-    }
-
-    pur = purity_flux(w, orbit, potential, nu_max)
-    vt_pur = volume_term(w, potential, nu_max, epsilon_mask, mask, "w")
-    block["purity"] = {
-        "loop": pur,
-        "volume_term": vt_pur.value,
-        "masked_nodes": vt_pur.masked_in_region,
-        "full": pur - vt_pur.value,
-    }
-
-    block["renyi"] = {}
-    for beta in betas:
-        try:
-            flux = renyi_flux(w, orbit, potential, nu_max, beta, epsilon_entropy)
-        except RejectionError as exc:
-            block["renyi"][f"{beta:g}"] = {"rejected": str(exc)}
-            continue
-        entry = {"loop": flux}
-        # The volume correction and region power integral raise for
-        # non-integer beta whenever W dips negative somewhere on the grid or
-        # region; the loop value above stays valid, so degrade per piece.
-        try:
-            vt = volume_term(w, potential, nu_max, epsilon_mask, mask, beta)
-            entry["volume_term"] = vt.value
-            entry["masked_nodes"] = vt.masked_in_region
-            entry["full"] = flux - vt.value
-        except RejectionError as exc:
-            entry["volume_term_rejected"] = str(exc)
-        try:
-            power_integral = region.quantity(w, "renyi", beta=beta, floor=epsilon_entropy)
-            entry["region_power_integral"] = power_integral
-            if power_integral > 0:
-                entry["rate"] = flux / power_integral
-        except RejectionError as exc:
-            entry["rate_rejected"] = str(exc)
-        block["renyi"][f"{beta:g}"] = entry
-    return block
+    return Snapshot(w, orbit, potential, nu_max, region, epsilon_mask).block(betas, epsilon_entropy)
 
 
 def attach_oracles(
@@ -489,14 +534,9 @@ def attach_oracles(
         tau=block["tau"], pgrid=pgrid, cgrid=cgrid,
         dtau_evolve=dtau_evolve, region=region, floor=floor,
     )
-    o_sig = rates["sigma"]
-    block["sigma"]["oracle"] = o_sig
-    block["sigma"]["rel_dev"] = _rel_dev(block["sigma"]["full"], o_sig)
-
-    o_svn = rates["svn"]
-    block["svn"]["oracle"] = o_svn
-    block["svn"]["rel_dev"] = _rel_dev(block["svn"]["full"], o_svn)
-
+    for name in ("sigma", "svn"):
+        block[name]["oracle"] = rates[name]
+        block[name]["rel_dev"] = _rel_dev(block[name]["full"], rates[name])
     o_pur = rates["purity"]
     block["purity"]["oracle"] = o_pur
     block["purity"]["oracle_2pi_adjusted"] = o_pur / (2.0 * np.pi)
@@ -517,6 +557,27 @@ def attach_oracles(
     return block
 
 
+def _diagonal_sample(name: str, beta, w_pt: float, dj_pt: float, vx_pt: float, epsilon: float) -> float:
+    """Loop integrand of one quantity at one orbit point; NaN where its weight is undefined."""
+    if name == "svn" and not abs(w_pt) > epsilon:
+        return np.nan
+    if name == "renyi" and not (float(beta - 1).is_integer() or w_pt > 0):
+        return np.nan
+    sign, weight = LOOP_WEIGHTS[name]
+    return sign * weight(w_pt, beta) * dj_pt * vx_pt
+
+
+def _region_quantities(snap: Snapshot, betas, floor: float) -> dict:
+    """Region integral of every quantity; None where a Renyi power is undefined."""
+    out = {name: snap.quantity(name, floor=floor) for name in ("sigma", "svn", "purity")}
+    for b in betas:
+        try:
+            out[f"renyi_{b:g}"] = snap.quantity("renyi", b, floor)
+        except RejectionError:
+            out[f"renyi_{b:g}"] = None
+    return out
+
+
 def period_accumulation(
     spec: StateSpec,
     potential: PotentialModel,
@@ -533,8 +594,10 @@ def period_accumulation(
 ) -> dict:
     """Period-accumulated forms of every flux.
 
-    Three values per quantity:
-      frozen          loop integral with W frozen at tau = 0 (printed form),
+    Each time node's snapshot is evaluated once and serves all four values
+    per quantity:
+      frozen          loop integral with W frozen at tau = 0 (printed form):
+                      the loop value of the tau = 0 node's snapshot,
       time_consistent the printed parametric integral with W(tau) regenerated
                       at each quadrature node (diagonal sampling),
       balance         trapezoidal time integral over [0, T] of the
@@ -551,122 +614,53 @@ def period_accumulation(
         region = OrbitRegion(orbit, pgrid)
     T = orbit.period
     taus = np.linspace(0.0, T, n_nodes + 1)
-    names = ["sigma", "svn", "purity"] + [("renyi", b) for b in betas]
+    names = [(q, None, q) for q in ("sigma", "svn", "purity")] + [("renyi", b, f"renyi_{b:g}") for b in betas]
 
-    def key(name):
-        return name if isinstance(name, str) else f"renyi_{name[1]:g}"
-
-    inst = {key(n): [] for n in names}
-    diag = {key(n): [] for n in names}
+    inst = {key: [] for _, _, key in names}
+    diag = {key: [] for _, _, key in names}
+    frozen: dict[str, float] = {}
     rejected: dict[str, str] = {}
+    q: dict[int, dict] = {}  # region quantities at the first and last node
 
     phi = evaluate_state(spec, cgrid, 0.0)
-    w0 = wigner_transform(phi, pgrid)
-    q_start = {}
-    q_end = {}
-
-    # Orbit-point sampler for the diagonal (time-consistent) form.
-    def orbit_point(tau):
-        idx = tau / orbit.dtau
-        i = int(round(idx)) % orbit.x.size
-        return i
-
     for j, tau_j in enumerate(taus):
         if j > 0:
             step = taus[j] - taus[j - 1]
             n_sub = max(1, int(round(step / dtau_evolve)))
             phi = evolve_wavefunction(phi, potential, step / n_sub, n_sub)
-        w = wigner_transform(phi, pgrid)
-        blk = instantaneous_block(
-            w, orbit, potential, nu_max, betas, epsilon_entropy, None, region
-        )
-        jcur = wigner_current(w, potential, nu_max)
-        djk_field = delta_current(jcur, w, potential).jk
-        i_pt = orbit_point(tau_j)
-        spl_dj = RectBivariateSpline(pgrid.x, pgrid.k, djk_field)
-        spl_w = RectBivariateSpline(pgrid.x, pgrid.k, w.values)
-        dj_pt = float(spl_dj.ev(orbit.x[i_pt], orbit.k[i_pt]))
-        w_pt = float(spl_w.ev(orbit.x[i_pt], orbit.k[i_pt]))
-        vx_pt = orbit.vx[i_pt]
+        snap = Snapshot(wigner_transform(phi, pgrid), orbit, potential, nu_max, region)
+        blk = snap.block(betas, epsilon_entropy)
+        # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
+        i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
+        w_pt, dj_pt, vx_pt = float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]
 
-        for name in names:
-            k = key(name)
-            if isinstance(name, str):
-                inst[k].append(blk[name]["full"])
+        for name, beta, key in names:
+            entry = blk[name] if beta is None else blk["renyi"][f"{beta:g}"]
+            if j == 0:
+                frozen[key] = entry.get("loop", float("nan"))
+            if "full" in entry:
+                inst[key].append(entry["full"])
             else:
-                entry = blk["renyi"][f"{name[1]:g}"]
-                if "full" in entry:
-                    inst[k].append(entry["full"])
-                else:
-                    rejected.setdefault(
-                        k, entry.get("rejected", entry.get("volume_term_rejected", ""))
-                    )
-                    inst[k].append(np.nan)
-            if k == "sigma":
-                diag[k].append(-dj_pt * vx_pt)
-            elif k == "svn":
-                diag[k].append(np.log(abs(w_pt)) * dj_pt * vx_pt if abs(w_pt) > epsilon_entropy else np.nan)
-            elif k == "purity":
-                diag[k].append(-w_pt * dj_pt * vx_pt)
-            else:
-                b = name[1]
-                if float(b - 1).is_integer() or w_pt > 0:
-                    diag[k].append(-(w_pt ** (b - 1.0)) * dj_pt * vx_pt)
-                else:
-                    diag[k].append(np.nan)
-        if j == 0:
-            q_start = {
-                "sigma": region.quantity(w, "sigma"),
-                "svn": region.quantity(w, "svn", floor=epsilon_entropy),
-                "purity": region.quantity(w, "purity"),
-                **{
-                    f"renyi_{b:g}": _safe_power_quantity(region, w, b, epsilon_entropy)
-                    for b in betas
-                },
-            }
-        if j == n_nodes:
-            q_end = {
-                "sigma": region.quantity(w, "sigma"),
-                "svn": region.quantity(w, "svn", floor=epsilon_entropy),
-                "purity": region.quantity(w, "purity"),
-                **{
-                    f"renyi_{b:g}": _safe_power_quantity(region, w, b, epsilon_entropy)
-                    for b in betas
-                },
-            }
+                rejected.setdefault(key, entry.get("rejected", entry.get("volume_term_rejected", "")))
+                inst[key].append(np.nan)
+            diag[key].append(_diagonal_sample(name, beta, w_pt, dj_pt, vx_pt, epsilon_entropy))
+        if j in (0, n_nodes):
+            q[j] = _region_quantities(snap, betas, epsilon_entropy)
 
     out: dict = {"period": T, "n_nodes": n_nodes}
-    frozen_blk = instantaneous_block(w0, orbit, potential, nu_max, betas, epsilon_entropy, None, region)
-    for name in names:
-        k = key(name)
-        if isinstance(name, str):
-            frozen = frozen_blk[name]["loop"]
-        else:
-            e = frozen_blk["renyi"][f"{name[1]:g}"]
-            frozen = e.get("loop", float("nan"))
-        balance = float(np.trapezoid(np.asarray(inst[k]), taus))
-        time_consistent = float(np.trapezoid(np.asarray(diag[k]), taus))
+    q_start, q_end = q[0], q[n_nodes]
+    for _, _, key in names:
+        balance = float(np.trapezoid(np.asarray(inst[key]), taus))
+        time_consistent = float(np.trapezoid(np.asarray(diag[key]), taus))
         direct = None
-        if q_start.get(k) is not None and q_end.get(k) is not None:
-            direct = q_end[k] - q_start[k]
-            if k == "purity":
+        if q_start[key] is not None and q_end[key] is not None:
+            direct = q_end[key] - q_start[key]
+            if key == "purity":
                 direct = direct / (2.0 * np.pi)
-        entry = {
-            "frozen": frozen,
-            "time_consistent": time_consistent,
-            "balance": balance,
-            "direct_change": direct,
-        }
+        entry = {"frozen": frozen[key], "time_consistent": time_consistent, "balance": balance, "direct_change": direct}
         if direct is not None and np.isfinite(balance):
             entry["rel_dev"] = _rel_dev(balance, direct)
-        if k in rejected:
-            entry["rejected"] = rejected[k]
-        out[k] = entry
+        if key in rejected:
+            entry["rejected"] = rejected[key]
+        out[key] = entry
     return out
-
-
-def _safe_power_quantity(region: OrbitRegion, w: WignerField, beta: float, floor: float):
-    try:
-        return region.quantity(w, "renyi", beta=beta, floor=floor)
-    except RejectionError:
-        return None

@@ -1,0 +1,110 @@
+"""Command-line contract: exit codes, one-line errors and strict-JSON reports."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wignerflow
+from wignerflow.cli import main
+
+#: A small but complete run: 64^2 phase grid, 512-node coordinate grid.
+SMALL = {
+    "potential": {"kind": "pure_quartic"},
+    "state": {"kind": "coherent", "x0": 1.0, "k0": 0.5},
+    "grid": {"n_x": 64, "n_k": 64},
+    "coordinate_grid": {"n": 512},
+    "orbit": {"x0": 1.0, "k0": 0.0},
+    "output_times": [0.0, 0.25],
+}
+
+MALFORMED = {
+    "non-numeric grid size": {"grid": {"n_x": "abc"}},
+    "infinite grid size": {"grid": {"n_x": float("inf")}},
+    "fractional grid size": {"grid": {"n_x": 64.9}},
+    "string flag": {"accumulation": {"enabled": "false"}},
+    "terms not a list": {"state": {"kind": "superposition", "terms": 5}},
+    "terms entry not an object": {"state": {"kind": "superposition", "terms": [5]}},
+    "output_times not a list": {"output_times": 5},
+    "grid section not an object": {"grid": "abc"},
+    "nu_max beyond the derivative order": {"nu_max": 40},
+    "NaN beta": {"beta_list": [float("nan")]},
+    "unhashable potential kind": {"potential": {"kind": ["pure_quartic"]}},
+}
+
+
+def write_config(tmp_path: Path, **changes) -> Path:
+    config = {**json.loads(json.dumps(SMALL)), **changes}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(wignerflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "wignerflow.cli", *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def assert_one_error_line(stderr: str, code: int) -> None:
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    assert lines[0].startswith(f"wignerflow-error code={code} ")
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("changes", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_exits_2_with_one_error_line(changes, tmp_path, capsys):
+    config = write_config(tmp_path, **changes)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert_one_error_line(capsys.readouterr().err, 2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_string_section_is_named_not_spelled_out(tmp_path, capsys):
+    main(["--config", str(write_config(tmp_path, grid="abc")), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "grid must be an object" in err
+    assert "unknown key" not in err
+
+
+def test_malformed_value_in_a_process_prints_no_traceback(tmp_path):
+    result = run_cli("--config", str(write_config(tmp_path, output_times=5)), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert_one_error_line(result.stderr, 2)
+
+
+def test_missing_config_file_exits_4(tmp_path):
+    result = run_cli("--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"))
+    assert result.returncode == 4
+    assert_one_error_line(result.stderr, 4)
+
+
+def test_small_run_writes_strict_json_and_one_row_per_time(tmp_path):
+    config = write_config(tmp_path, accumulation={"enabled": True, "time_nodes": 4})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="unnormalized"):
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
+
+    def reject(token):
+        raise ValueError(f"report.json holds the non-JSON constant {token}")
+
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"), parse_constant=reject)
+    assert [blk["tau"] for blk in report["times"]] == SMALL["output_times"]
+    # The beta = 0.5 volume term rejects on transformed fields, so its
+    # balance has no value: null, with the reason kept beside it.
+    acc = report["accumulated"]["renyi_0.5"]
+    assert acc["balance"] is None
+    assert acc["rejected"].startswith("W**beta undefined")
+    assert isinstance(report["accumulated"]["sigma"]["balance"], float)
+
+    with (out / "fluxes.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + len(SMALL["output_times"])
+    assert [float(row[0]) for row in rows[1:]] == SMALL["output_times"]

@@ -1,13 +1,18 @@
 """Loop fluxes, volume corrections, and the finite-difference oracle."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from wignerflow import fluxes
 from wignerflow.classical import solve_orbit
 from wignerflow.errors import RejectionError
 from wignerflow.fluxes import (
     OrbitRegion,
+    instantaneous_block,
     interpolate_on_orbit,
+    oracle_rates,
     oracle_flux,
     orbit_interior_mask,
     period_accumulation,
@@ -239,3 +244,103 @@ class TestPeriodAccumulation:
         assert acc["renyi_2"]["balance"] == acc["purity"]["balance"]
         for key in ("sigma", "svn", "purity"):
             assert np.isfinite(acc[key]["time_consistent"])
+
+
+class TestSnapshotEvaluation:
+    @pytest.mark.parametrize("field", ["offset_gaussian_w", "cat_w"])
+    def test_block_equals_standalone_functions(self, field, request, pgrid, quartic_orbit):
+        # The block reads every value from one snapshot; each standalone
+        # function builds its own.  Values and rejections must agree exactly.
+        w = request.getfixturevalue(field)
+        pot, orbit = pure_quartic(), quartic_orbit
+        region = OrbitRegion(orbit, pgrid)
+        blk = instantaneous_block(w, orbit, pot, 2, BETAS, region=region)
+
+        sig = sigma_flux(w, orbit, pot, 2)
+        assert blk["sigma"] == {"loop": sig, "full": sig}
+        for name, flux, weight, full in (
+            ("svn", svn_flux, "one", lambda loop, vt: loop + vt),
+            ("purity", purity_flux, "w", lambda loop, vt: loop - vt),
+        ):
+            loop = flux(w, orbit, pot, 2)
+            vt = volume_term(w, pot, 2, None, region.mask, weight)
+            assert blk[name] == {
+                "loop": loop, "volume_term": vt.value,
+                "masked_nodes": vt.masked_in_region, "full": full(loop, vt.value),
+            }
+        for beta in BETAS:
+            try:
+                loop = renyi_flux(w, orbit, pot, 2, beta)
+            except RejectionError as exc:
+                assert blk["renyi"][f"{beta:g}"] == {"rejected": str(exc)}
+                continue
+            expected = {"loop": loop}
+            try:
+                vt = volume_term(w, pot, 2, None, region.mask, beta)
+                expected.update(volume_term=vt.value, masked_nodes=vt.masked_in_region, full=loop - vt.value)
+            except RejectionError as exc:
+                expected["volume_term_rejected"] = str(exc)
+            try:
+                power = region.quantity(w, "renyi", beta=beta)
+                expected["region_power_integral"] = power
+                if power > 0:
+                    expected["rate"] = loop / power
+            except RejectionError as exc:
+                expected["rate_rejected"] = str(exc)
+            assert blk["renyi"][f"{beta:g}"] == expected
+
+    def test_fractional_beta_rejections_reach_the_block(self, quartic_orbit, offset_gaussian_w, cat_w):
+        # Transformed fields carry noise-level negative nodes, so the beta = 0.5
+        # volume term rejects while the loop stands; the cat is negative on the
+        # orbit itself, so its beta = 0.5 loop rejects.
+        pot = pure_quartic()
+        entry = instantaneous_block(offset_gaussian_w, quartic_orbit, pot, 2, (0.5,))["renyi"]["0.5"]
+        assert "loop" in entry and "rate" in entry
+        assert entry["volume_term_rejected"].startswith("W**beta undefined for non-integer beta=0.5")
+        entry = instantaneous_block(cat_w, quartic_orbit, pot, 2, (0.5,))["renyi"]["0.5"]
+        assert list(entry) == ["rejected"]
+        assert entry["rejected"].endswith("negative orbit samples")
+
+    @staticmethod
+    def _count_work(monkeypatch) -> Counter:
+        counts = Counter()
+
+        class CountingSpline(fluxes.RectBivariateSpline):
+            def __init__(self, *args, **kwargs):
+                counts["fits"] += 1
+                super().__init__(*args, **kwargs)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fluxes, "RectBivariateSpline", CountingSpline)
+        for name in ("wigner_current", "delta_current", "div_w", "wigner_transform"):
+            monkeypatch.setattr(fluxes, name, counted(name, getattr(fluxes, name)))
+        return counts
+
+    def test_one_block_is_one_evaluation(self, monkeypatch, pgrid, quartic_orbit, offset_gaussian_w):
+        region = OrbitRegion(quartic_orbit, pgrid)
+        counts = self._count_work(monkeypatch)
+        instantaneous_block(offset_gaussian_w, quartic_orbit, pure_quartic(), 2, BETAS, region=region)
+        assert counts["fits"] <= 2
+        assert counts["wigner_current"] == 1
+        assert counts["delta_current"] == 1
+        assert counts["div_w"] == 1
+
+    def test_oracle_rates_sample_each_field_once(self, monkeypatch, pgrid, cgrid, quartic_orbit):
+        region = OrbitRegion(quartic_orbit, pgrid)
+        counts = self._count_work(monkeypatch)
+        rates = oracle_rates(
+            coherent(1.0, 0.5), pure_quartic(), quartic_orbit, BETAS,
+            pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-3, region=region,
+        )
+        assert counts["wigner_transform"] == 2
+        assert counts["fits"] == 2
+        assert counts["wigner_current"] == 0
+        assert rates["sigma"] == oracle_flux(
+            coherent(1.0, 0.5), pure_quartic(), quartic_orbit, "sigma",
+            pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-3, region=region,
+        )
