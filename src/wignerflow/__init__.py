@@ -25,8 +25,10 @@ from .fluxes import (
     Snapshot,
     interpolate_on_orbit,
     oracle_flux,
+    oracle_times,
     orbit_interior_mask,
     period_accumulation,
+    propagate_states,
     purity_flux,
     renyi_flux,
     sigma_flux,

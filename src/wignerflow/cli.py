@@ -25,7 +25,7 @@ from .errors import ConfigError, RejectionError, WignerFlowError
 from .grid import MAX_DERIVATIVE_ORDER, CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
 from .observables import ENTROPY_FLOOR
 from .potentials import CATALOG, PotentialModel
-from .states import StateSpec, evaluate_state, evolve_wavefunction, wigner_transform
+from .states import StateSpec, evaluate_state, wigner_transform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -370,25 +370,30 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
     with _stage("fluxes.orbit_region"):
         region = fx.OrbitRegion(orbit, config.grid)
 
-    oracle_kw = dict(
-        pgrid=config.grid, cgrid=config.coordinate_grid,
-        dtau_fd=config.dtau_fd, dtau_evolve=min(config.dtau, config.dtau_fd / 2),
-        region=region, floor=config.epsilon_entropy,
-    )
-
     blocks = []
     field_files = []
     with _stage("states.evaluate_state"):
-        phi = evaluate_state(config.state, config.coordinate_grid, 0.0)
-    prev_t = 0.0
+        phi0 = evaluate_state(config.state, config.coordinate_grid, 0.0)
+    with _stage("states.evolve_wavefunction"):
+        phis = fx.propagate_states(phi0, config.potential, config.output_times, config.dtau)
+    # The oracle keeps its own trajectory at its own finer step, independent
+    # of the one above: one sweep reaches every tau -/+ dtau_fd of the run.
+    dtau_oracle = min(config.dtau, config.dtau_fd / 2)
+    with _stage("fluxes.oracle"):
+        oracle_phis = fx.propagate_states(
+            phi0, config.potential,
+            [t for tau in config.output_times for t in fx.oracle_times(tau, config.dtau_fd)],
+            dtau_oracle,
+        )
+    oracle_kw = dict(
+        pgrid=config.grid, cgrid=config.coordinate_grid,
+        dtau_fd=config.dtau_fd, dtau_evolve=dtau_oracle,
+        region=region, floor=config.epsilon_entropy, states=oracle_phis,
+    )
+
     for t in config.output_times:
-        if t > prev_t:
-            with _stage("states.evolve_wavefunction"):
-                n_sub = max(1, int(round((t - prev_t) / config.dtau)))
-                phi = evolve_wavefunction(phi, config.potential, (t - prev_t) / n_sub, n_sub)
-            prev_t = t
         with _stage("states.wigner_transform"):
-            w = wigner_transform(phi, config.grid)
+            w = wigner_transform(phis[t], config.grid)
         with _stage("fluxes.instantaneous"):
             blk = fx.instantaneous_block(
                 w, orbit, config.potential, config.nu_max, config.beta_list,

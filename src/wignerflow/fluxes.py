@@ -20,7 +20,8 @@ functions below are thin wrappers that build a Snapshot for one field.
 
 An independent oracle cross-checks each loop value by central finite
 differences of the orbit-interior integral of the matching quantity,
-with the state advanced by the spectral propagator.  The exact balance
+with the state advanced by the spectral propagator; propagate_states
+reaches every oracle time of a run in one sweep.  The exact balance
 relations connecting the two routes carry the volume correction
 int W**p div(w) dV over the enclosed region, which volume_term provides.
 """
@@ -40,7 +41,7 @@ from .classical import ClassicalOrbit
 from .grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from .observables import ENTROPY_FLOOR, power_field
 from .potentials import PotentialModel
-from .states import StateSpec, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
+from .states import StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
 
 QUANTITIES = ("sigma", "svn", "purity", "renyi")
 
@@ -396,16 +397,54 @@ def volume_term(
     return Snapshot(w, potential=potential, nu_max=nu_max, epsilon_mask=epsilon).volume(weight, region)
 
 
-def _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region) -> list[Snapshot]:
-    """Snapshots of the state propagated from tau = 0 to tau - dtau_fd and to tau + dtau_fd."""
-    pair = []
-    for t in (tau - dtau_fd, tau + dtau_fd):
-        phi = evaluate_state(spec, cgrid, 0.0)
-        if t != 0.0:
-            n_steps = max(1, int(round(abs(t) / dtau_evolve)))
-            phi = evolve_wavefunction(phi, potential, t / n_steps, n_steps)
-        pair.append(Snapshot(wigner_transform(phi, pgrid), region=region))
-    return pair
+def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
+    """The two times, tau - dtau_fd and tau + dtau_fd, that the oracle central-differences.
+
+    Every caller that propagates oracle states or looks them up takes the
+    times from here, so the keys agree to the last bit.
+    """
+    return (tau - dtau_fd, tau + dtau_fd)
+
+
+def propagate_states(
+    phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float
+) -> dict[float, Wavefunction]:
+    """The state at each requested time, from one split-step sweep out of phi0 at tau = 0.
+
+    Times >= 0 are reached in ascending order from the running state and
+    negative times in descending order from phi0, each leg in
+    max(1, round(|leg| / dtau_evolve)) equal steps, so the step count is
+    linear in the span of the times.  Each state is tagged with its
+    requested time, which is also its key.
+    """
+    if not dtau_evolve > 0:
+        raise RejectionError(f"dtau_evolve must be positive, got {dtau_evolve}")
+    times = set(times)
+    out = {}
+    for leg_times in (sorted(t for t in times if t >= 0), sorted((t for t in times if t < 0), reverse=True)):
+        phi, prev = phi0, 0.0
+        for t in leg_times:
+            if t != prev:
+                n_steps = max(1, int(round(abs(t - prev) / dtau_evolve)))
+                phi = evolve_wavefunction(phi, potential, (t - prev) / n_steps, n_steps)
+                phi.tau = t
+            out[t], prev = phi, t
+    return out
+
+
+def _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region, states) -> list[Snapshot]:
+    """Snapshots of the state at the two oracle_times around tau.
+
+    states maps times to propagated states (see propagate_states); None
+    propagates the two states by a sweep of their own.
+    """
+    times = oracle_times(tau, dtau_fd)
+    if states is None:
+        states = propagate_states(evaluate_state(spec, cgrid, 0.0), potential, times, dtau_evolve)
+    missing = [t for t in times if t not in states]
+    if missing:
+        raise RejectionError(f"no oracle state at tau={missing[0]!r}")
+    return [Snapshot(wigner_transform(states[t], pgrid), region=region) for t in times]
 
 
 def _central_difference(pair: list[Snapshot], name: str, beta, floor: float, dtau_fd: float) -> float:
@@ -427,15 +466,19 @@ def oracle_flux(
     dtau_evolve: float = 2.5e-4,
     region: OrbitRegion | None = None,
     floor: float = ENTROPY_FLOOR,
+    states: dict | None = None,
 ) -> float:
     """Independent instantaneous rate of a region-restricted quantity.
 
-    Evolves the state to tau - dtau_fd and tau + dtau_fd with the spectral
-    propagator, rebuilds W at both times, and central-differences the
-    orbit-interior integral of the quantity (sigma, svn, purity as
-    2 pi int W^2, or the Renyi power integral int W**beta).  This route never
-    touches the current series or its truncation order; that independence is
-    what lets it adjudicate the loop formulas.
+    Takes the states at tau - dtau_fd and tau + dtau_fd from states, a map
+    of time to state produced by propagate_states (for example one sweep
+    over the oracle times of every output time), or else propagates the two
+    from tau = 0 by a sweep of its own with steps of about dtau_evolve.  It
+    rebuilds W at both times and central-differences the orbit-interior
+    integral of the quantity (sigma, svn, purity as 2 pi int W^2, or the
+    Renyi power integral int W**beta).  This route never touches the
+    current series or its truncation order; that independence is what lets
+    it adjudicate the loop formulas.
     """
     if quantity not in QUANTITIES:
         raise RejectionError(f"unknown quantity {quantity!r}")
@@ -443,7 +486,7 @@ def oracle_flux(
         raise RejectionError(f"dtau_fd must be positive, got {dtau_fd}")
     if region is None:
         region = OrbitRegion(orbit, pgrid)
-    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region)
+    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region, states)
     return _central_difference(pair, quantity, beta, floor, dtau_fd)
 
 
@@ -460,16 +503,18 @@ def oracle_rates(
     dtau_evolve: float = 2.5e-4,
     region: OrbitRegion | None = None,
     floor: float = ENTROPY_FLOOR,
+    states: dict | None = None,
 ) -> dict:
     """All oracle rates at once from a single pair of evolved fields.
 
-    Same finite-difference route as oracle_flux, sharing the two Wigner
+    Same finite-difference route as oracle_flux, with the two states taken
+    from states or from one sweep of their own, sharing the two Wigner
     builds and their refined-lattice samples across sigma, svn, purity and
     every requested beta.
     """
     if region is None:
         region = OrbitRegion(orbit, pgrid)
-    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region)
+    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region, states)
 
     def diff(name: str, beta: float | None = None):
         try:
@@ -525,14 +570,18 @@ def attach_oracles(
     dtau_evolve: float = 2.5e-4,
     region: OrbitRegion | None = None,
     floor: float = ENTROPY_FLOOR,
+    states: dict | None = None,
 ) -> dict:
-    """Add oracle rates and relative deviations to an instantaneous block."""
+    """Add oracle rates and relative deviations to an instantaneous block.
+
+    states is passed on to oracle_rates (see propagate_states).
+    """
     if region is None:
         region = OrbitRegion(orbit, pgrid)
     rates = oracle_rates(
         spec, potential, orbit, betas, dtau_fd,
         tau=block["tau"], pgrid=pgrid, cgrid=cgrid,
-        dtau_evolve=dtau_evolve, region=region, floor=floor,
+        dtau_evolve=dtau_evolve, region=region, floor=floor, states=states,
     )
     for name in ("sigma", "svn"):
         block[name]["oracle"] = rates[name]
@@ -622,13 +671,9 @@ def period_accumulation(
     rejected: dict[str, str] = {}
     q: dict[int, dict] = {}  # region quantities at the first and last node
 
-    phi = evaluate_state(spec, cgrid, 0.0)
+    phis = propagate_states(evaluate_state(spec, cgrid, 0.0), potential, taus, dtau_evolve)
     for j, tau_j in enumerate(taus):
-        if j > 0:
-            step = taus[j] - taus[j - 1]
-            n_sub = max(1, int(round(step / dtau_evolve)))
-            phi = evolve_wavefunction(phi, potential, step / n_sub, n_sub)
-        snap = Snapshot(wigner_transform(phi, pgrid), orbit, potential, nu_max, region)
+        snap = Snapshot(wigner_transform(phis[tau_j], pgrid), orbit, potential, nu_max, region)
         blk = snap.block(betas, epsilon_entropy)
         # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
         i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size

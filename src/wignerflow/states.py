@@ -6,11 +6,16 @@ mixes), all with closed-form time dependence under the harmonic well.
 Anharmonic dynamics is generated on the wavefunction by a symmetric
 split-step propagator and the quasi-probability field is rebuilt by
 direct quadrature of the phase-space convolution at each output time.
+The quadrature runs over y >= 0 only: the integrand's conjugate symmetry
+in y folds the full lattice onto its half, which makes W real by
+construction.  A capture guard compares int W dV with the wavefunction
+norm and rejects a phase-space grid too small for the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -22,8 +27,9 @@ from .potentials import PotentialModel
 #: Largest |phi| tolerated at the coordinate-grid boundary.
 BOUNDARY_ENVELOPE = 1e-12
 
-#: Largest imaginary residue tolerated in the phase-space convolution.
-IMAG_RESIDUE_LIMIT = 1e-10
+#: Largest |int W dV - ||phi||^2| tolerated: the part of the state's norm
+#: that the phase-space grid fails to capture.
+CAPTURE_LIMIT = 1e-2
 
 #: Norm drift that makes the propagator reject its own output.
 NORM_DRIFT_LIMIT = 1e-8
@@ -158,14 +164,41 @@ def evaluate_state(spec: StateSpec, grid: CoordinateGrid, tau: float = 0.0) -> W
     return Wavefunction(values, grid, tau)
 
 
+@lru_cache(maxsize=8)
+def _half_range_kernel(cgrid: CoordinateGrid, grid: PhaseSpaceGrid):
+    """Half-range y nodes, their folded trapezoid weights, and cos/sin(2ky).
+
+    The y-lattice is the coordinate-grid spacing out to half the coordinate
+    half-range; folding the symmetric lattice onto y >= 0 doubles every
+    weight except the one at y = 0.  The arrays are shared between calls
+    and read-only.
+    """
+    m = int(np.floor(0.5 * cgrid.x_max / cgrid.h))
+    y = np.arange(m + 1) * cgrid.h
+    wy = np.full(y.size, 2.0 * cgrid.h)
+    wy[0] = wy[-1] = cgrid.h
+    phase = 2.0 * np.outer(y, grid.k)
+    out = (y, wy, np.cos(phase), np.sin(phase))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     """Build W(x, k) from wavefunction samples by direct y-quadrature.
 
-    For each phase-space node the integrand pi^-1 e^{2iky} phi(x-y) phi*(x+y)
-    is integrated over y in [-Y, Y] with Y equal to half the coordinate-grid
-    half-range, sampling phi through a cubic spline (zero outside its grid).
-    The quadrature is rejected if the imaginary residue survives above
-    IMAG_RESIDUE_LIMIT, which signals a support or resolution failure.
+    W(x, k) = pi^-1 int e^{2iky} f(x, y) dy with f(x, y) = phi(x-y) phi*(x+y),
+    integrated by the trapezoid rule over y in [-Y, Y] with Y equal to half
+    the coordinate-grid half-range, sampling phi through a cubic spline (zero
+    outside its grid).  Since f(x, -y) = conj f(x, y) holds exactly on the
+    symmetric lattice, the sum folds onto y >= 0:
+
+        W = pi^-1 sum_{y >= 0} w'_y [Re f cos 2ky - Im f sin 2ky],
+
+    with w'_0 = h, w' = 2h inside and h at the end node.  W is real by
+    construction, so no imaginary residue is left to check.  Instead, the
+    transform is rejected when the grid misses part of the state: when
+    |int W dV - ||phi||^2| exceeds CAPTURE_LIMIT.
     """
     cgrid = phi.grid
     if cgrid.h > grid.h_x * (1 + 1e-9):
@@ -176,11 +209,7 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         raise RejectionError(
             f"coordinate grid extent {cgrid.x_max} does not cover the phase-space x axis {grid.x_max}"
         )
-    half_y = 0.5 * cgrid.x_max
-    m = int(np.floor(half_y / cgrid.h))
-    y = np.arange(-m, m + 1) * cgrid.h
-    wy = np.full(y.size, cgrid.h)
-    wy[0] = wy[-1] = 0.5 * cgrid.h
+    y, wy, cos_ky, sin_ky = _half_range_kernel(cgrid, grid)
 
     spline = CubicSpline(cgrid.x, phi.values, extrapolate=False)
     x = grid.x
@@ -188,16 +217,17 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     plus = spline(x[:, None] + y[None, :])
     np.nan_to_num(minus, copy=False)
     np.nan_to_num(plus, copy=False)
-    integrand = (minus * np.conj(plus)) * wy[None, :]
+    f = minus * np.conj(plus)
 
-    kernel = np.exp(2j * np.outer(y, grid.k))
-    w_complex = (integrand @ kernel) / np.pi
-    residue = float(np.max(np.abs(w_complex.imag)))
-    if residue >= IMAG_RESIDUE_LIMIT:
+    values = ((f.real * wy) @ cos_ky - (f.imag * wy) @ sin_ky) / np.pi
+    w = WignerField(values, grid, phi.tau)
+    defect = abs(w.total() - phi.norm())
+    if defect > CAPTURE_LIMIT:
         raise RejectionError(
-            f"imaginary residue {residue:.3e} of the Wigner quadrature exceeds {IMAG_RESIDUE_LIMIT:.0e}"
+            f"grid capture defect |int W dV - norm| = {defect:.3e} exceeds {CAPTURE_LIMIT:.0e}; "
+            "the phase-space grid misses part of the state"
         )
-    return WignerField(np.ascontiguousarray(w_complex.real), grid, phi.tau)
+    return w
 
 
 def evolve_wavefunction(

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import wignerflow
-from wignerflow.cli import main
+from wignerflow import cli, fluxes
+from wignerflow.cli import main, parse_config
 
 #: A small but complete run: 64^2 phase grid, 512-node coordinate grid.
 SMALL = {
@@ -108,3 +109,19 @@ def test_small_run_writes_strict_json_and_one_row_per_time(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + len(SMALL["output_times"])
     assert [float(row[0]) for row in rows[1:]] == SMALL["output_times"]
+
+
+def test_oracle_states_come_from_one_sweep(tmp_path, monkeypatch):
+    # 500 main-loop steps and 1,004 oracle steps (0.501 forward and 0.001
+    # backward at dtau_fd / 2); re-propagating each oracle state from
+    # tau = 0 would take 3,004
+    steps = []
+    for module in (m for m in (cli, fluxes) if hasattr(m, "evolve_wavefunction")):
+        def counted(phi, potential, dtau, n, _evolve=module.evolve_wavefunction):
+            steps.append(n)
+            return _evolve(phi, potential, dtau, n)
+        monkeypatch.setattr(module, "evolve_wavefunction", counted)
+    config = parse_config({**SMALL, "output_times": [0.0, 0.25, 0.5]})
+    with pytest.warns(RuntimeWarning, match="unnormalized"):
+        cli.run(config, tmp_path / "out")
+    assert sum(steps) <= 1600

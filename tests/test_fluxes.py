@@ -14,8 +14,10 @@ from wignerflow.fluxes import (
     interpolate_on_orbit,
     oracle_rates,
     oracle_flux,
+    oracle_times,
     orbit_interior_mask,
     period_accumulation,
+    propagate_states,
     purity_flux,
     renyi_flux,
     sigma_flux,
@@ -25,7 +27,7 @@ from wignerflow.fluxes import (
 from wignerflow.grid import PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import div_w, wigner_current
 from wignerflow.potentials import harmonic, pure_quartic
-from wignerflow.states import WignerField, coherent, evaluate_state, wigner_transform
+from wignerflow.states import WignerField, coherent, evaluate_state, evolve_wavefunction, wigner_transform
 
 BETAS = (0.5, 2.0, 3.0)
 
@@ -344,3 +346,54 @@ class TestSnapshotEvaluation:
             coherent(1.0, 0.5), pure_quartic(), quartic_orbit, "sigma",
             pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-3, region=region,
         )
+
+
+class TestPropagateStates:
+    def test_legs_continue_from_the_running_state(self, cgrid):
+        pot = pure_quartic()
+        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
+        states = propagate_states(phi0, pot, [0.0, *oracle_times(0.0, 1e-2), 0.05, 0.05], 1e-3)
+        assert sorted(states) == [-1e-2, 0.0, 1e-2, 0.05]
+        assert states[0.0] is phi0
+        for t in (-1e-2, 1e-2):
+            assert np.array_equal(states[t].values, evolve_wavefunction(phi0, pot, t / 10, 10).values)
+        # the last leg starts from tau = 0.01, not from tau = 0
+        direct = evolve_wavefunction(phi0, pot, 1e-3, 50)
+        assert np.max(np.abs(states[0.05].values - direct.values)) < 1e-12
+        assert [states[t].tau for t in sorted(states)] == sorted(states)
+
+    def test_steps_grow_linearly_with_the_output_times(self, monkeypatch, cgrid):
+        steps = Counter()
+
+        def counted(phi, potential, dtau, n):
+            steps["n"] += n
+            return evolve_wavefunction(phi, potential, dtau, n)
+
+        monkeypatch.setattr(fluxes, "evolve_wavefunction", counted)
+        times = [t for tau in (0.0, 0.1, 0.2, 0.3) for t in oracle_times(tau, 1e-3)]
+        propagate_states(evaluate_state(coherent(1.0, 0.5), cgrid, 0.0), pure_quartic(), times, 5e-4)
+        assert steps["n"] == 2 + 602
+
+    def test_sweep_states_reproduce_the_stand_alone_oracle(self, pgrid, cgrid, quartic_orbit):
+        spec, pot = coherent(1.0, 0.5), pure_quartic()
+        region = OrbitRegion(quartic_orbit, pgrid)
+        kw = dict(tau=0.5, pgrid=pgrid, cgrid=cgrid, dtau_evolve=5e-4, region=region)
+        times = [t for tau in (0.0, 0.25, 0.5) for t in oracle_times(tau, 1e-3)]
+        states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, times, 5e-4)
+        swept = oracle_rates(spec, pot, quartic_orbit, BETAS, states=states, **kw)
+        alone = oracle_rates(spec, pot, quartic_orbit, BETAS, **kw)
+        for name in ("sigma", "svn", "purity"):
+            assert swept[name] == pytest.approx(alone[name], rel=1e-10, abs=0)
+        for beta in ("2", "3"):
+            assert swept["renyi"][beta] == pytest.approx(alone["renyi"][beta], rel=1e-10, abs=0)
+
+    def test_missing_oracle_state_is_rejected(self, pgrid, cgrid, quartic_orbit):
+        spec, pot = coherent(1.0, 0.5), pure_quartic()
+        states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 5e-4)
+        with pytest.raises(RejectionError, match="no oracle state"):
+            oracle_flux(spec, pot, quartic_orbit, "sigma", pgrid=pgrid, cgrid=cgrid, tau=0.5, states=states)
+
+    def test_non_positive_step_rejected(self, cgrid):
+        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
+        with pytest.raises(RejectionError, match="dtau_evolve"):
+            propagate_states(phi0, pure_quartic(), [0.1], 0.0)

@@ -18,6 +18,20 @@ from wignerflow.states import (
     wigner_transform,
 )
 
+
+def full_lattice_transform(phi, grid):
+    """W by the dense complex quadrature over the full symmetric y-lattice."""
+    cgrid = phi.grid
+    m = int(np.floor(0.5 * cgrid.x_max / cgrid.h))
+    y = np.arange(-m, m + 1) * cgrid.h
+    wy = np.full(y.size, cgrid.h)
+    wy[0] = wy[-1] = 0.5 * cgrid.h
+    spline = CubicSpline(cgrid.x, phi.values, extrapolate=False)
+    minus = np.nan_to_num(spline(grid.x[:, None] - y[None, :]))
+    plus = np.nan_to_num(spline(grid.x[:, None] + y[None, :]))
+    return (((minus * np.conj(plus)) * wy) @ np.exp(2j * np.outer(y, grid.k))).real / np.pi
+
+
 CATALOG_SPECS = [
     harmonic_eigenstate(0),
     harmonic_eigenstate(1),
@@ -112,6 +126,24 @@ class TestWignerTransform:
         wide = PhaseSpaceGrid.centered(10.0, 8.0, 256, 256)
         with pytest.raises(RejectionError, match="does not cover"):
             wigner_transform(phi, wide)
+
+    def test_capture_guard_rejects_a_truncated_k_range(self, cgrid):
+        # k_max = 4 keeps 76 % of coherent(0, 3.5)'s norm; the imaginary part
+        # of the full-lattice quadrature stays at 1e-16 all the same
+        narrow = PhaseSpaceGrid.centered(8.0, 4.0, 256, 256)
+        phi = evaluate_state(coherent(0.0, 3.5), cgrid)
+        with pytest.raises(RejectionError, match=r"capture defect .* 2\.398e-01"):
+            wigner_transform(phi, narrow)
+
+    @pytest.mark.parametrize("case", ["ground", "cat", "evolved_coherent"])
+    def test_half_range_matches_the_full_lattice_quadrature(self, case, pgrid, cgrid):
+        if case == "ground":
+            phi = evaluate_state(harmonic_eigenstate(0), cgrid)
+        elif case == "cat":
+            phi = evaluate_state(cat(1.5, 0.0), cgrid)
+        else:
+            phi = evolve_wavefunction(evaluate_state(coherent(1.0, 0.5), cgrid), pure_quartic(), 1e-3, 500)
+        assert np.max(np.abs(wigner_transform(phi, pgrid).values - full_lattice_transform(phi, pgrid))) <= 1e-14
 
 
 class TestEvolveWavefunction:
