@@ -143,10 +143,13 @@ def solve_orbit(
     period = None
     gs_prev = 0.0
     n_steps = 0
+    # The end-of-step force is the next step's first half-kick force.
+    force = potential.force(x)
     for i in range(1, max_steps + 1):
-        half_k = k + 0.5 * dtau * potential.force(x)
+        half_k = k + 0.5 * dtau * force
         x = x + dtau * half_k
-        k = half_k + 0.5 * dtau * potential.force(x)
+        force = potential.force(x)
+        k = half_k + 0.5 * dtau * force
         xs[i], ks[i] = x, k
         n_steps = i
         if abs(x) > x_limit:

@@ -41,7 +41,7 @@ from .classical import ClassicalOrbit
 from .grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from .observables import ENTROPY_FLOOR, power_field
 from .potentials import PotentialModel
-from .states import StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
+from .states import CAPTURE_LIMIT, StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
 
 QUANTITIES = ("sigma", "svn", "purity", "renyi")
 
@@ -246,7 +246,7 @@ class Snapshot:
         w_on = None if name == "sigma" else self.w_on
         if name == "svn":
             total = self.w.total()
-            if abs(total - 1.0) > 1e-4:
+            if abs(total - 1.0) > CAPTURE_LIMIT:
                 warnings.warn(
                     f"svn_flux on an unnormalized field (integral {total:.6g}): "
                     "the ln W weight is scale-sensitive", RuntimeWarning, stacklevel=3,

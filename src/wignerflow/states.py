@@ -4,12 +4,17 @@ The catalog covers harmonic-basis-expressible states (eigenstates,
 coherent displacements, two-lobe cat superpositions, custom eigenstate
 mixes), all with closed-form time dependence under the harmonic well.
 Anharmonic dynamics is generated on the wavefunction by a symmetric
-split-step propagator and the quasi-probability field is rebuilt by
-direct quadrature of the phase-space convolution at each output time.
+split-step propagator, stepped in place on one working copy with
+scipy.fft, and the quasi-probability field is rebuilt by direct
+quadrature of the phase-space convolution at each output time.
 The quadrature runs over y >= 0 only: the integrand's conjugate symmetry
 in y folds the full lattice onto its half, which makes W real by
-construction.  A capture guard compares int W dV with the wavefunction
-norm and rejects a phase-space grid too small for the state.
+construction.  Its y-lattice has the coordinate spacing, so each row of
+W samples the wavefunction's cubic spline at one offset from the nodes:
+the samples are read from a per-row table of the spline pieces by index,
+and a sample outside the coordinate grid is zero by index.  A capture
+guard compares int W dV with the wavefunction norm and rejects a
+phase-space grid too small for the state.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 
 from .errors import RejectionError
@@ -33,6 +40,9 @@ CAPTURE_LIMIT = 1e-2
 
 #: Norm drift that makes the propagator reject its own output.
 NORM_DRIFT_LIMIT = 1e-8
+
+#: Rows of W built per block of the transform; bounds its sample table.
+_TRANSFORM_ROWS = 32
 
 
 @dataclass
@@ -165,23 +175,40 @@ def evaluate_state(spec: StateSpec, grid: CoordinateGrid, tau: float = 0.0) -> W
 
 
 @lru_cache(maxsize=8)
-def _half_range_kernel(cgrid: CoordinateGrid, grid: PhaseSpaceGrid):
-    """Half-range y nodes, their folded trapezoid weights, and cos/sin(2ky).
+def _half_range_kernel(cgrid: CoordinateGrid, grid: PhaseSpaceGrid) -> np.ndarray:
+    """The kernel w'_y [cos 2ky; -sin 2ky] / pi, rows interleaved per y node.
 
-    The y-lattice is the coordinate-grid spacing out to half the coordinate
-    half-range; folding the symmetric lattice onto y >= 0 doubles every
-    weight except the one at y = 0.  The arrays are shared between calls
-    and read-only.
+    Row 2j multiplies Re f(x, y_j) and row 2j + 1 multiplies Im f(x, y_j),
+    so a complex f viewed as reals meets it in one matmul; shape
+    (2(m+1), n_k).  The y-lattice is the coordinate-grid spacing out to
+    m = floor(x_max / 2h) nodes, half the coordinate half-range; folding the
+    symmetric lattice onto y >= 0 doubles every trapezoid weight except the
+    one at y = 0.  The array is shared between calls and read-only.
     """
     m = int(np.floor(0.5 * cgrid.x_max / cgrid.h))
     y = np.arange(m + 1) * cgrid.h
     wy = np.full(y.size, 2.0 * cgrid.h)
     wy[0] = wy[-1] = cgrid.h
     phase = 2.0 * np.outer(y, grid.k)
-    out = (y, wy, np.cos(phase), np.sin(phase))
-    for a in out:
-        a.setflags(write=False)
-    return out
+    kernel = np.stack([np.cos(phase), -np.sin(phase)], axis=1) * (wy[:, None, None] / np.pi)
+    kernel = kernel.reshape(2 * y.size, grid.n_k)
+    kernel.setflags(write=False)
+    return kernel
+
+
+def _lattice_offsets(cgrid: CoordinateGrid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval index s and offset t = x - x_c[s] of each x on the coordinate grid.
+
+    A point within rounding of a node is put on that node (t = 0), so that
+    its samples land on nodes exactly; otherwise 0 < t < h.
+    """
+    r = (x - cgrid.x[0]) / cgrid.h
+    node = np.rint(r)
+    on_node = np.abs(r - node) <= 4 * np.finfo(float).eps * cgrid.n
+    s = np.where(on_node, node, np.floor(r)).astype(np.intp)
+    s = np.clip(s, 0, cgrid.n - 1)
+    t = np.where(on_node, 0.0, x - cgrid.x[s])
+    return s, t
 
 
 def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
@@ -189,16 +216,26 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
 
     W(x, k) = pi^-1 int e^{2iky} f(x, y) dy with f(x, y) = phi(x-y) phi*(x+y),
     integrated by the trapezoid rule over y in [-Y, Y] with Y equal to half
-    the coordinate-grid half-range, sampling phi through a cubic spline (zero
-    outside its grid).  Since f(x, -y) = conj f(x, y) holds exactly on the
-    symmetric lattice, the sum folds onto y >= 0:
+    the coordinate-grid half-range, sampling phi through a cubic spline.
+    Since f(x, -y) = conj f(x, y) holds exactly on the symmetric lattice,
+    the sum folds onto y >= 0:
 
         W = pi^-1 sum_{y >= 0} w'_y [Re f cos 2ky - Im f sin 2ky],
 
-    with w'_0 = h, w' = 2h inside and h at the end node.  W is real by
-    construction, so no imaginary residue is left to check.  Instead, the
-    transform is rejected when the grid misses part of the state: when
-    |int W dV - ||phi||^2| exceeds CAPTURE_LIMIT.
+    with w'_0 = h, w' = 2h inside and h at the end node.
+
+    The y-lattice has the coordinate spacing h, so x_i -/+ y_j = x_c[s_i -/+ j]
+    + t_i with one offset t_i per row: every sample of a row evaluates the
+    spline's cubic pieces at the same offset.  A block of rows therefore
+    tabulates G[i, q] = sum_p c[p, q] t_i^(3-p) over every interval q by one
+    small matmul, and reads phi(x_i -/+ y_j) = G[i, s_i -/+ j] by a gather
+    from the zero-padded table.  A sample outside the coordinate grid reads
+    a pad, so phi is zero there by index; a sample exactly on the last node
+    (t_i = 0) reads that node's value, as the spline does.
+
+    W is real by construction, so no imaginary residue is left to check.
+    Instead, the transform is rejected when the grid misses part of the
+    state: when |int W dV - ||phi||^2| exceeds CAPTURE_LIMIT.
     """
     cgrid = phi.grid
     if cgrid.h > grid.h_x * (1 + 1e-9):
@@ -209,17 +246,28 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         raise RejectionError(
             f"coordinate grid extent {cgrid.x_max} does not cover the phase-space x axis {grid.x_max}"
         )
-    y, wy, cos_ky, sin_ky = _half_range_kernel(cgrid, grid)
+    kernel = _half_range_kernel(cgrid, grid)
+    m = kernel.shape[0] // 2 - 1
+    n = cgrid.n
+    coeffs = np.ascontiguousarray(CubicSpline(cgrid.x, phi.values).c).view(float)
+    s, t = _lattice_offsets(cgrid, grid.x)
 
-    spline = CubicSpline(cgrid.x, phi.values, extrapolate=False)
-    x = grid.x
-    minus = spline(x[:, None] - y[None, :])
-    plus = spline(x[:, None] + y[None, :])
-    np.nan_to_num(minus, copy=False)
-    np.nan_to_num(plus, copy=False)
-    f = minus * np.conj(plus)
-
-    values = ((f.real * wy) @ cos_ky - (f.imag * wy) @ sin_ky) / np.pi
+    # Table columns: m pads, the n - 1 cubic pieces, the last node, m pads.
+    table = np.zeros((_TRANSFORM_ROWS, n + 2 * m), dtype=complex)
+    pieces = table.view(float)[:, 2 * m : 2 * (m + n - 1)]
+    windows = sliding_window_view(table, m + 1, axis=1)
+    f = np.empty((_TRANSFORM_ROWS, m + 1), dtype=complex)
+    values = np.empty(grid.shape)
+    for start in range(0, grid.n_x, _TRANSFORM_ROWS):
+        rows = slice(start, min(start + _TRANSFORM_ROWS, grid.n_x))
+        b = rows.stop - start
+        tb = t[rows]
+        np.matmul(tb[:, None] ** np.arange(3, -1, -1), coeffs, out=pieces[:b])
+        table[:b, m + n - 1] = np.where(tb == 0.0, phi.values[-1], 0.0)
+        i = np.arange(b)
+        plus = np.conj(windows[i, s[rows] + m])
+        np.multiply(windows[i, s[rows]][:, ::-1], plus, out=f[:b])
+        np.matmul(f[:b].view(float), kernel, out=values[rows])
     w = WignerField(values, grid, phi.tau)
     defect = abs(w.total() - phi.norm())
     if defect > CAPTURE_LIMIT:
@@ -234,6 +282,12 @@ def evolve_wavefunction(
     phi: Wavefunction, potential: PotentialModel, dtau: float, steps: int
 ) -> Wavefunction:
     """Symmetric split-step propagation under k^2/2 + u(x).
+
+    Each step is e^{-i dtau u/2} F^-1 e^{-i dtau kappa^2/2} F e^{-i dtau u/2}
+    (Feit, Fleck & Steiger 1982), applied in place to one working copy of
+    the samples: the phase factors multiply it in place and scipy.fft
+    transforms it with overwrite_x, so a step allocates no array.  The
+    input's samples are left untouched.
 
     Second-order accurate in dtau; negative dtau propagates backward (the
     scheme is unitary either way).  Rejects its output when the trapezoidal
@@ -256,7 +310,9 @@ def evolve_wavefunction(
     values = phi.values.astype(complex, copy=True)
     for _ in range(steps):
         values *= half_v
-        values = np.fft.ifft(full_t * np.fft.fft(values))
+        values = scipy.fft.fft(values, overwrite_x=True)
+        values *= full_t
+        values = scipy.fft.ifft(values, overwrite_x=True)
         values *= half_v
     out = Wavefunction(values, phi.grid, phi.tau + dtau * steps)
     drift = abs(out.norm() - norm0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wignerflow import classical
 from wignerflow.classical import orbit_frame, period_quadrature, solve_orbit
 from wignerflow.errors import RejectionError
 from wignerflow.potentials import double_well, harmonic, pure_quartic
@@ -129,3 +130,39 @@ class TestIntegratorProperties:
             x -= dtau * half
             k = half - 0.5 * dtau * pot.force(x)
         assert abs(x - 1.0) < 1e-8 and abs(k) < 1e-8
+
+    def test_one_force_call_per_step_and_the_two_call_orbit(self, monkeypatch):
+        # the end-of-step force is reused as the next first half-kick, so
+        # the orbit equals the two-call Verlet loop bit for bit
+        calls = []
+
+        class CountedQuartic(type(pure_quartic())):
+            def force(self, x):
+                calls.append(x)
+                return super().force(x)
+
+        dense = []
+        spline = classical.CubicSpline
+
+        def recording_spline(tau, values):
+            dense.append(values.copy())
+            return spline(tau, values)
+
+        pot = pure_quartic()
+        counted = CountedQuartic(pot.label, pot.coefficients)
+        monkeypatch.setattr(classical, "CubicSpline", recording_spline)
+        orbit = solve_orbit(counted, (1.0, 0.0))
+        steps = dense[0].size - 1
+        assert len(calls) <= steps + 1
+
+        dtau = classical.DEFAULT_ORBIT_DTAU
+        xs, ks = np.empty(steps + 1), np.empty(steps + 1)
+        x, k = xs[0], ks[0] = 1.0, 0.0
+        for i in range(1, steps + 1):
+            half = k + 0.5 * dtau * pot.force(x)
+            x += dtau * half
+            k = half + 0.5 * dtau * pot.force(x)
+            xs[i], ks[i] = x, k
+        tau_dense = np.arange(steps + 1) * dtau
+        assert np.array_equal(orbit.x, spline(tau_dense, xs)(orbit.tau))
+        assert np.array_equal(orbit.k, spline(tau_dense, ks)(orbit.tau))

@@ -8,6 +8,7 @@ from wignerflow.errors import RejectionError
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.potentials import PotentialModel, harmonic, pure_quartic
 from wignerflow.states import (
+    Wavefunction,
     cat,
     coherent,
     evaluate_state,
@@ -135,14 +136,24 @@ class TestWignerTransform:
         with pytest.raises(RejectionError, match=r"capture defect .* 2\.398e-01"):
             wigner_transform(phi, narrow)
 
-    @pytest.mark.parametrize("case", ["ground", "cat", "evolved_coherent"])
+    @pytest.mark.parametrize("case", ["ground", "cat", "evolved_coherent", "aligned_ground", "aligned_edge"])
     def test_half_range_matches_the_full_lattice_quadrature(self, case, pgrid, cgrid):
-        if case == "ground":
+        if case.startswith("aligned"):
+            # h = h_x = 1/16 and every x_i is a coordinate node (t_i = 0);
+            # the y-reach of the last row ends on the last coordinate node
+            cgrid = CoordinateGrid(255 / 32, 256)
+            pgrid = PhaseSpaceGrid.centered(129 / 32, 4.0, 130, 129)
+        if case in ("ground", "aligned_ground"):
             phi = evaluate_state(harmonic_eigenstate(0), cgrid)
         elif case == "cat":
             phi = evaluate_state(cat(1.5, 0.0), cgrid)
-        else:
+        elif case == "evolved_coherent":
             phi = evolve_wavefunction(evaluate_state(coherent(1.0, 0.5), cgrid), pure_quartic(), 1e-3, 500)
+        else:
+            # a ground state's last node holds ~1e-14, too little to show
+            # whether the sample on it is kept; this tail holds 1e-2 there
+            ground = evaluate_state(harmonic_eigenstate(0), cgrid)
+            phi = Wavefunction(ground.values + 0.01 * (cgrid.x > 7.5) * np.exp(1j * cgrid.x), cgrid)
         assert np.max(np.abs(wigner_transform(phi, pgrid).values - full_lattice_transform(phi, pgrid))) <= 1e-14
 
 
@@ -173,6 +184,20 @@ class TestEvolveWavefunction:
         back = evolve_wavefunction(fwd, pure_quartic(), -1e-3, 400)
         assert np.max(np.abs(back.values - phi0.values)) < 1e-10
         assert back.tau == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_a_numpy_fft_split_step_loop(self, cgrid):
+        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid)
+        before = phi0.values.copy()
+        pot, dtau = pure_quartic(), 1e-3
+        kappa = 2.0 * np.pi * np.fft.fftfreq(cgrid.n, d=cgrid.h)
+        half_v = np.exp(-0.5j * dtau * pot.u(cgrid.x))
+        full_t = np.exp(-0.5j * dtau * kappa**2)
+        ref = phi0.values.copy()
+        for _ in range(1000):
+            ref = half_v * np.fft.ifft(full_t * np.fft.fft(half_v * ref))
+        phi = evolve_wavefunction(phi0, pot, dtau, 1000)
+        assert np.max(np.abs(phi.values - ref)) <= 1e-12
+        assert np.array_equal(phi0.values, before)
 
     def test_norm_preserved_per_thousand_steps(self, cgrid):
         phi0 = evaluate_state(coherent(1.0, 0.0), cgrid)
