@@ -3,9 +3,10 @@
 Orbits of H(x, k) = k^2/2 + u(x) are integrated with the velocity-Verlet
 scheme and the period is located at the second same-direction crossing of
 a Poincare section through the start point, refined by interpolation.
-One period is then resampled uniformly in tau, carrying the outward unit
-normal n = (u'(x), k)/|v| and line-element weights dl = |v| dtau that the
-loop fluxes integrate against.
+One period is then resampled uniformly in tau by the not-a-knot cubic
+spline of the Verlet steps (spline.UniformSpline, on the step lattice),
+carrying the outward unit normal n = (u'(x), k)/|v| and line-element
+weights dl = |v| dtau that the loop fluxes integrate against.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import RejectionError
 from .potentials import PotentialModel
+from .spline import UniformSpline
 
 DEFAULT_ORBIT_DTAU = 1e-4
 DEFAULT_ORBIT_SAMPLES = 4096
@@ -56,10 +55,6 @@ class ClassicalOrbit:
     def dtau(self) -> float:
         return self.period / self.tau.size
 
-    @property
-    def speed(self) -> np.ndarray:
-        return np.hypot(self.vx, self.vk)
-
     def reversed(self) -> "ClassicalOrbit":
         """The same curve traversed in the opposite direction."""
         return replace(
@@ -75,31 +70,21 @@ class ClassicalOrbit:
         )
 
 
-def _frame_arrays(potential: PotentialModel, x: np.ndarray, k: np.ndarray, dtau: float):
-    vx = k.copy()
-    vk = -np.asarray(potential.derivative(x, 1), dtype=float)
+def _normal_frame(x: np.ndarray, k: np.ndarray, vx: np.ndarray, vk: np.ndarray, dtau: float):
+    """Outward unit normals (-v_k, v_x)/|v| and line elements |v| dtau; rejects |v| ~ 0."""
     speed = np.hypot(vx, vk)
     if np.min(speed) < 1e-12:
         i = int(np.argmin(speed))
         raise RejectionError(
             f"degenerate sample: |v|={speed[i]:.3e} at (x={x[i]:.6g}, k={k[i]:.6g}); reduce dtau"
         )
-    nx = -vk / speed
-    nk = vx / speed
-    dl = speed * dtau
-    return vx, vk, nx, nk, dl
+    return -vk / speed, vx / speed, speed * dtau
 
 
 def orbit_frame(orbit: ClassicalOrbit) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample outward normals (shape (N, 2)) and line elements dl."""
-    speed = orbit.speed
-    if np.min(speed) < 1e-12:
-        i = int(np.argmin(speed))
-        raise RejectionError(
-            f"degenerate sample: |v|={speed[i]:.3e} at (x={orbit.x[i]:.6g}, k={orbit.k[i]:.6g}); reduce dtau"
-        )
-    n = np.stack([-orbit.vk / speed, orbit.vx / speed], axis=1)
-    return n, speed * orbit.dtau
+    nx, nk, dl = _normal_frame(orbit.x, orbit.k, orbit.vx, orbit.vk, orbit.dtau)
+    return np.stack([nx, nk], axis=1), dl
 
 
 def solve_orbit(
@@ -167,9 +152,8 @@ def solve_orbit(
         raise RejectionError(
             f"no period found within tau_limit={tau_limit} for start ({x0}, {k0})"
         )
-    tau_dense = np.arange(n_steps + 1) * dtau
-    sx = CubicSpline(tau_dense, xs[: n_steps + 1])
-    sk = CubicSpline(tau_dense, ks[: n_steps + 1])
+    sx = UniformSpline(0.0, dtau, xs[: n_steps + 1])
+    sk = UniformSpline(0.0, dtau, ks[: n_steps + 1])
     closure = float(np.hypot(sx(period) - x0, sk(period) - k0))
     if closure >= CLOSURE_TOL:
         raise RejectionError(f"orbit closure {closure:.3e} exceeds {CLOSURE_TOL:.0e}")
@@ -177,7 +161,9 @@ def solve_orbit(
     tau = np.arange(n_samples) * (period / n_samples)
     x_s = np.asarray(sx(tau), dtype=float)
     k_s = np.asarray(sk(tau), dtype=float)
-    vx, vk, nx, nk, dl = _frame_arrays(potential, x_s, k_s, period / n_samples)
+    vx = k_s.copy()
+    vk = -np.asarray(potential.derivative(x_s, 1), dtype=float)
+    nx, nk, dl = _normal_frame(x_s, k_s, vx, vk, period / n_samples)
     energy = 0.5 * k0 * k0 + float(potential.u(x0))
     asym = potential.parity_even and (np.min(x_s) > 0.0 or np.max(x_s) < 0.0)
     return ClassicalOrbit(
@@ -190,8 +176,12 @@ def period_quadrature(potential: PotentialModel, energy: float) -> float:
 
     T = 2 int dx / sqrt(2 (E - u(x))) between the turning points around the
     well minimum; the square-root singularity is removed by the substitution
-    x = mid + half * sin(theta).
+    x = mid + half * sin(theta).  Only tests call it, so scipy's root finder
+    and quadrature are imported here rather than with the module.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     # Locate a point strictly inside the well: minimize u on a coarse scan.
     scan = np.linspace(-DEFAULT_X_LIMIT ** 0.25, DEFAULT_X_LIMIT ** 0.25, 20001)
     u_scan = np.asarray(potential.u(scan))

@@ -12,10 +12,11 @@ loop formulas (LOOP_WEIGHTS):
     renyi:  - integral dtau  W**(beta-1) Delta J_k  dx/dtau
 
 Each Wigner snapshot is evaluated once: a Snapshot computes the current,
-Delta J_k, div(w), one bicubic spline of W (sampled on the orbit and on
-the region's refined lattice) and one of Delta J_k (sampled on the orbit)
-at most once each, and every loop flux, volume term and region quantity
-of that snapshot is read from those samples.  The single-quantity
+Delta J_k, div(w), one bicubic spline of W (spline.GridSpline, sampled
+on the orbit and on the region's refined lattice) and one of Delta J_k
+(fitted on the cells the orbit touches and sampled there) at most once
+each, and every loop flux, volume term and region quantity of that
+snapshot is read from those samples.  The single-quantity
 functions below are thin wrappers that build a Snapshot for one field.
 
 An independent oracle cross-checks each loop value by central finite
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .currents import DEFAULT_NU_MAX, CurrentField, MaskedField, delta_current, div_w, wigner_current
 from .errors import RejectionError
@@ -41,6 +41,7 @@ from .classical import ClassicalOrbit
 from .grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from .observables import ENTROPY_FLOOR, power_field
 from .potentials import PotentialModel
+from .spline import GridSpline
 from .states import CAPTURE_LIMIT, StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
 
 QUANTITIES = ("sigma", "svn", "purity", "renyi")
@@ -64,10 +65,6 @@ def _volume_weight(values: np.ndarray, weight: str | float) -> np.ndarray:
         return values**2
     beta = float(weight)
     return (beta - 1.0) * power_field(values, beta)
-
-
-def _spline(grid: PhaseSpaceGrid, values: np.ndarray) -> RectBivariateSpline:
-    return RectBivariateSpline(grid.x, grid.k, np.asarray(values, dtype=float))
 
 
 def interpolate_on_orbit(grid: PhaseSpaceGrid, values: np.ndarray, orbit: ClassicalOrbit) -> np.ndarray:
@@ -131,6 +128,8 @@ class OrbitRegion:
         k_lo, k_hi = orbit.k.min() - grid.h_k, orbit.k.max() + grid.h_k
         self._fx = np.arange(x_lo, x_hi + hx, hx)
         self._fk = np.arange(k_lo, k_hi + hk, hk)
+        #: Corners of the refined lattice, the reach of a spline it samples.
+        self.corners = (self._fx[[0, -1]], self._fk[[0, -1]])
         self._cell_area = hx * hk
 
         # Coverage fraction of each node-centered cell, from an exact winding
@@ -142,9 +141,9 @@ class OrbitRegion:
         inside = inside.reshape(self._fx.size, subsamples, self._fk.size, subsamples)
         self._weights = inside.mean(axis=(1, 3))
 
-    def refine(self, spline: RectBivariateSpline) -> np.ndarray:
+    def refine(self, spline: GridSpline) -> np.ndarray:
         """Samples of a fitted grid spline on the refined lattice."""
-        return spline(self._fx, self._fk)
+        return spline.lattice(self._fx, self._fk)
 
     def fine_integral(self, fine: np.ndarray, func=None) -> float:
         """Integral over the enclosed region of func(fine) for refined-lattice samples."""
@@ -154,7 +153,7 @@ class OrbitRegion:
 
     def integral(self, values: np.ndarray, func=None) -> float:
         """Integral over the enclosed region of func(W) (default: W itself)."""
-        return self.fine_integral(self.refine(_spline(self.grid, values)), func)
+        return self.fine_integral(self.refine(GridSpline(self.grid, values, self.corners)), func)
 
     def quantity(self, w: WignerField, name: str, beta: float | None = None, floor: float = ENTROPY_FLOOR) -> float:
         """Region-restricted sigma / S_vN / purity / Renyi power integral."""
@@ -215,8 +214,12 @@ class Snapshot:
         return div_w(self.current, self.w, self.epsilon_mask)
 
     @cached_property
-    def w_spline(self) -> RectBivariateSpline:
-        return _spline(self.w.grid, self.w.values)
+    def w_spline(self) -> GridSpline:
+        """W's spline, fitted on the cells that the orbit and the region's lattice sample."""
+        reach = [(self.orbit.x, self.orbit.k)] if self.orbit is not None else []
+        if self.region is not None:
+            reach.append(self.region.corners)
+        return GridSpline(self.w.grid, self.w.values, tuple(np.concatenate(axis) for axis in zip(*reach)))
 
     @cached_property
     def w_on(self) -> np.ndarray:
@@ -225,8 +228,9 @@ class Snapshot:
 
     @cached_property
     def dj_on(self) -> np.ndarray:
-        """Delta J_k at the orbit samples."""
-        return _spline(self.w.grid, self.dj_k).ev(self.orbit.x, self.orbit.k)
+        """Delta J_k at the orbit samples, from a spline fitted on the cells they touch."""
+        near = (self.orbit.x, self.orbit.k)
+        return GridSpline(self.w.grid, self.dj_k, near).ev(*near)
 
     @cached_property
     def fine_w(self) -> np.ndarray:

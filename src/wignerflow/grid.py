@@ -1,10 +1,10 @@
 """Phase-space and coordinate-space discretization.
 
 Uniform, origin-symmetric rectangular grids with trapezoidal quadrature
-and central finite-difference derivative kernels of accuracy order 4.
-Fields are treated as identically zero outside the grid, which is the
-correct extension for the Gaussian-enveloped states this package works
-with.
+and central finite-difference derivative kernels of accuracy order 4,
+applied as a weighted sum of shifted slices of the field.  Fields are
+treated as identically zero outside the grid, which is the correct
+extension for the Gaussian-enveloped states this package works with.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import RejectionError
 
@@ -137,11 +136,6 @@ class DimensionlessMap:
     def t_from_tau(self, tau: float) -> float:
         return float(tau / self.omega)
 
-    @property
-    def energy_scale(self) -> float:
-        """hbar*omega, the divisor turning a dimensional energy into its dimensionless image."""
-        return self.hbar * self.omega
-
 
 def _quadrature_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
@@ -188,7 +182,7 @@ def stencil_weights(order: int, accuracy: int = STENCIL_ACCURACY) -> np.ndarray:
     Uses Fornberg's recursion on a symmetric node set; the returned array has
     odd length ``2*m + 1`` with ``2*m + 1 >= order + accuracy`` (order and
     accuracy parities matched so the central stencil attains the design
-    accuracy).
+    accuracy), exactly even or odd about its centre.
     """
     if order < 1:
         raise RejectionError(f"derivative order must be >= 1, got {order}")
@@ -217,6 +211,12 @@ def stencil_weights(order: int, accuracy: int = STENCIL_ACCURACY) -> np.ndarray:
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
     w = c[:, order].copy()
+    # A central stencil is even about its centre for even orders and odd for
+    # odd ones; mirroring the left half keeps that exact under rounding.
+    parity = 1.0 if order % 2 == 0 else -1.0
+    w[half + 1 :] = parity * w[:half][::-1]
+    if order % 2:
+        w[half] = 0.0
     w.flags.writeable = False
     return w
 
@@ -250,4 +250,25 @@ def partial_derivative(grid: PhaseSpaceGrid, values: np.ndarray, axis: str, orde
         raise RejectionError(
             f"grid has {values.shape[ax]} nodes along {axis}, stencil needs {w.size}"
         )
-    return correlate1d(values, w, axis=ax, mode="constant", cval=0.0) / h**order
+    # The stencil is symmetric for even orders and antisymmetric for odd
+    # ones, so each pair of nodes j either side is combined before its one
+    # multiply: out[i] = w_0 f[i] + sum_j w_-j (f[i-j] +/- f[i+j]), summed
+    # from the outermost pair in, with f zero beyond the grid.
+    half = w.size // 2
+    n = values.shape[ax]
+
+    def along(start: int) -> tuple[slice, ...]:
+        return tuple(slice(start, start + n) if a == ax else slice(None) for a in range(values.ndim))
+
+    shape = list(values.shape)
+    shape[ax] += 2 * half
+    padded = np.zeros(shape)
+    padded[along(half)] = values
+    pair = np.add if order % 2 == 0 else np.subtract
+    out = values * w[half]
+    term = np.empty_like(out)
+    for j in range(half, 0, -1):
+        pair(padded[along(half - j)], padded[along(half + j)], out=term)
+        term *= w[half - j]
+        out += term
+    return out / h**order

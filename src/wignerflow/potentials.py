@@ -46,10 +46,6 @@ class PotentialModel:
             acc = acc * x + j * self.coefficients[j]
         return -acc
 
-    def max_derivative_order(self) -> int:
-        """Order beyond which every derivative vanishes identically."""
-        return max(len(self.coefficients) - 1, 0)
-
 
 def harmonic() -> PotentialModel:
     """u(x) = x^2 / 2, the well whose quantum corrections vanish identically."""

@@ -5,16 +5,16 @@ coherent displacements, two-lobe cat superpositions, custom eigenstate
 mixes), all with closed-form time dependence under the harmonic well.
 Anharmonic dynamics is generated on the wavefunction by a symmetric
 split-step propagator, stepped in place on one working copy with
-scipy.fft, and the quasi-probability field is rebuilt by direct
+numpy.fft, and the quasi-probability field is rebuilt by direct
 quadrature of the phase-space convolution at each output time.
 The quadrature runs over y >= 0 only: the integrand's conjugate symmetry
 in y folds the full lattice onto its half, which makes W real by
 construction.  Its y-lattice has the coordinate spacing, so each row of
-W samples the wavefunction's cubic spline at one offset from the nodes:
-the samples are read from a per-row table of the spline pieces by index,
-and a sample outside the coordinate grid is zero by index.  A capture
-guard compares int W dV with the wavefunction norm and rejects a
-phase-space grid too small for the state.
+W samples the wavefunction's not-a-knot cubic spline (spline.pieces) at
+one offset from the nodes: the samples are read from a per-row table of
+the spline pieces by index, and a sample outside the coordinate grid is
+zero by index.  A capture guard compares int W dV with the wavefunction
+norm and rejects a phase-space grid too small for the state.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
 
 from .errors import RejectionError
 from .grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from .potentials import PotentialModel
+from .spline import pieces as spline_pieces
 
 #: Largest |phi| tolerated at the coordinate-grid boundary.
 BOUNDARY_ENVELOPE = 1e-12
@@ -211,12 +210,18 @@ def _lattice_offsets(cgrid: CoordinateGrid, x: np.ndarray) -> tuple[np.ndarray, 
     return s, t
 
 
+def _pieces_read(s: np.ndarray, m: int, n: int) -> tuple[int, int]:
+    """The spline pieces lo .. hi - 1 that rows in the intervals s read, m either side."""
+    return max(int(s.min()) - m, 0), min(int(s.max()) + m + 1, n - 1)
+
+
 def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     """Build W(x, k) from wavefunction samples by direct y-quadrature.
 
     W(x, k) = pi^-1 int e^{2iky} f(x, y) dy with f(x, y) = phi(x-y) phi*(x+y),
     integrated by the trapezoid rule over y in [-Y, Y] with Y equal to half
-    the coordinate-grid half-range, sampling phi through a cubic spline.
+    the coordinate-grid half-range, sampling phi through its not-a-knot
+    cubic spline, whose pieces c come from spline.pieces.
     Since f(x, -y) = conj f(x, y) holds exactly on the symmetric lattice,
     the sum folds onto y >= 0:
 
@@ -227,9 +232,10 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     The y-lattice has the coordinate spacing h, so x_i -/+ y_j = x_c[s_i -/+ j]
     + t_i with one offset t_i per row: every sample of a row evaluates the
     spline's cubic pieces at the same offset.  A block of rows therefore
-    tabulates G[i, q] = sum_p c[p, q] t_i^(3-p) over every interval q by one
-    small matmul, and reads phi(x_i -/+ y_j) = G[i, s_i -/+ j] by a gather
-    from the zero-padded table.  A sample outside the coordinate grid reads
+    tabulates G[i, q] = sum_p c[p, q] t_i^(3-p) by one small matmul, over
+    only the intervals q its rows read (m either side of its s_i), and
+    reads phi(x_i -/+ y_j) = G[i, s_i -/+ j] by a gather from the
+    zero-padded table.  A sample outside the coordinate grid reads
     a pad, so phi is zero there by index; a sample exactly on the last node
     (t_i = 0) reads that node's value, as the spline does.
 
@@ -249,12 +255,12 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     kernel = _half_range_kernel(cgrid, grid)
     m = kernel.shape[0] // 2 - 1
     n = cgrid.n
-    coeffs = np.ascontiguousarray(CubicSpline(cgrid.x, phi.values).c).view(float)
+    coeffs = np.ascontiguousarray(spline_pieces(phi.values, cgrid.h)).view(float)
     s, t = _lattice_offsets(cgrid, grid.x)
 
     # Table columns: m pads, the n - 1 cubic pieces, the last node, m pads.
     table = np.zeros((_TRANSFORM_ROWS, n + 2 * m), dtype=complex)
-    pieces = table.view(float)[:, 2 * m : 2 * (m + n - 1)]
+    reals = table.view(float)
     windows = sliding_window_view(table, m + 1, axis=1)
     f = np.empty((_TRANSFORM_ROWS, m + 1), dtype=complex)
     values = np.empty(grid.shape)
@@ -262,7 +268,8 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         rows = slice(start, min(start + _TRANSFORM_ROWS, grid.n_x))
         b = rows.stop - start
         tb = t[rows]
-        np.matmul(tb[:, None] ** np.arange(3, -1, -1), coeffs, out=pieces[:b])
+        lo, hi = _pieces_read(s[rows], m, n)
+        np.matmul(tb[:, None] ** np.arange(3, -1, -1), coeffs[:, 2 * lo : 2 * hi], out=reals[:b, 2 * (m + lo) : 2 * (m + hi)])
         table[:b, m + n - 1] = np.where(tb == 0.0, phi.values[-1], 0.0)
         i = np.arange(b)
         plus = np.conj(windows[i, s[rows] + m])
@@ -285,8 +292,8 @@ def evolve_wavefunction(
 
     Each step is e^{-i dtau u/2} F^-1 e^{-i dtau kappa^2/2} F e^{-i dtau u/2}
     (Feit, Fleck & Steiger 1982), applied in place to one working copy of
-    the samples: the phase factors multiply it in place and scipy.fft
-    transforms it with overwrite_x, so a step allocates no array.  The
+    the samples: the phase factors multiply it in place and numpy.fft
+    transforms it into itself (out=), so a step allocates no array.  The
     input's samples are left untouched.
 
     Second-order accurate in dtau; negative dtau propagates backward (the
@@ -310,9 +317,9 @@ def evolve_wavefunction(
     values = phi.values.astype(complex, copy=True)
     for _ in range(steps):
         values *= half_v
-        values = scipy.fft.fft(values, overwrite_x=True)
+        np.fft.fft(values, out=values)
         values *= full_t
-        values = scipy.fft.ifft(values, overwrite_x=True)
+        np.fft.ifft(values, out=values)
         values *= half_v
     out = Wavefunction(values, phi.grid, phi.tau + dtau * steps)
     drift = abs(out.norm() - norm0)

@@ -130,3 +130,33 @@ def test_oracle_states_come_from_one_sweep(tmp_path, monkeypatch):
         cli.run(config, tmp_path / "out")
     assert not [w for w in caught if "unnormalized" in str(w.message)]
     assert sum(steps) <= 1600
+
+
+#: Runs SMALL through cli.run with every scipy import refused, then lists
+#: any scipy module that was loaded all the same.
+NO_SCIPY_RUN = """
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused in this run")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from wignerflow import cli
+cli.run(cli.parse_config(json.loads(sys.argv[1])), sys.argv[2])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_a_run_needs_no_scipy(tmp_path):
+    src = str(Path(wignerflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(SMALL), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "out" / "report.json").is_file()

@@ -307,7 +307,7 @@ class TestSnapshotEvaluation:
     def _count_work(monkeypatch) -> Counter:
         counts = Counter()
 
-        class CountingSpline(fluxes.RectBivariateSpline):
+        class CountingSpline(fluxes.GridSpline):
             def __init__(self, *args, **kwargs):
                 counts["fits"] += 1
                 super().__init__(*args, **kwargs)
@@ -318,7 +318,7 @@ class TestSnapshotEvaluation:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(fluxes, "RectBivariateSpline", CountingSpline)
+        monkeypatch.setattr(fluxes, "GridSpline", CountingSpline)
         for name in ("wigner_current", "delta_current", "div_w", "wigner_transform"):
             monkeypatch.setattr(fluxes, name, counted(name, getattr(fluxes, name)))
         return counts

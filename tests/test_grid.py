@@ -120,6 +120,19 @@ class TestStencils:
         rhs = 2.0 * partial_derivative(pgrid, f, "k", 1) - 0.5 * partial_derivative(pgrid, g, "k", 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("axis", ["x", "k"])
+    @pytest.mark.parametrize("order", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_matches_a_zero_extended_correlation(self, order, axis, cat_w):
+        # the slice sum equals scipy's constant-mode correlation, edges included
+        from scipy.ndimage import correlate1d
+
+        grid = cat_w.grid
+        h = grid.h_x if axis == "x" else grid.h_k
+        ref = correlate1d(cat_w.values, stencil_weights(order), axis=0 if axis == "x" else 1, mode="constant") / h**order
+        got = partial_derivative(grid, cat_w.values, axis, order)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(got[:, :3] if axis == "k" else got[:3])) > 0.0
+
     def test_order_beyond_maximum_rejected(self, pgrid):
         with pytest.raises(RejectionError, match="beyond supported maximum"):
             partial_derivative(pgrid, np.ones(pgrid.shape), "x", MAX_DERIVATIVE_ORDER + 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
+from wignerflow import states
 from wignerflow.errors import RejectionError
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.potentials import PotentialModel, harmonic, pure_quartic
@@ -155,6 +156,23 @@ class TestWignerTransform:
             ground = evaluate_state(harmonic_eigenstate(0), cgrid)
             phi = Wavefunction(ground.values + 0.01 * (cgrid.x > 7.5) * np.exp(1j * cgrid.x), cgrid)
         assert np.max(np.abs(wigner_transform(phi, pgrid).values - full_lattice_transform(phi, pgrid))) <= 1e-14
+
+
+    @pytest.mark.parametrize("case", ["cat", "evolved_coherent", "aligned_edge"])
+    def test_each_block_tabulates_only_the_pieces_it_reads(self, case, pgrid, cgrid, monkeypatch):
+        # W is the same, bit for bit, as with every piece tabulated in every block
+        if case == "aligned_edge":
+            cgrid = CoordinateGrid(255 / 32, 256)
+            pgrid = PhaseSpaceGrid.centered(129 / 32, 4.0, 130, 129)
+            ground = evaluate_state(harmonic_eigenstate(0), cgrid)
+            phi = Wavefunction(ground.values + 0.01 * (cgrid.x > 7.5) * np.exp(1j * cgrid.x), cgrid)
+        elif case == "cat":
+            phi = evaluate_state(cat(1.5, 0.0), cgrid)
+        else:
+            phi = evolve_wavefunction(evaluate_state(coherent(1.0, 0.5), cgrid), pure_quartic(), 1e-3, 500)
+        restricted = wigner_transform(phi, pgrid).values
+        monkeypatch.setattr(states, "_pieces_read", lambda s, m, n: (0, n - 1))
+        assert np.array_equal(restricted, wigner_transform(phi, pgrid).values)
 
 
 class TestEvolveWavefunction:
