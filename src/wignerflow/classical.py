@@ -12,6 +12,7 @@ weights dl = |v| dtau that the loop fluxes integrate against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -33,9 +34,10 @@ class ClassicalOrbit:
     """One period of a closed orbit, resampled uniformly in tau.
 
     Arrays share the sample axis; velocities are the on-shell values
-    (v_x, v_k) = (k, -u'(x)), normals point outward, and dl = |v| dtau.
-    The last sample precedes the closure point: tau runs over
-    [0, T - T/n_samples].
+    (v_x, v_k) = (k, -u'(x)).  The outward normals (nx, nk) and the line
+    elements dl = |v| dtau derive from them, once per orbit, and an orbit
+    with a degenerate speed is rejected when it is built.  The last sample
+    precedes the closure point: tau runs over [0, T - T/n_samples].
     """
 
     tau: np.ndarray
@@ -43,17 +45,34 @@ class ClassicalOrbit:
     k: np.ndarray
     vx: np.ndarray
     vk: np.ndarray
-    nx: np.ndarray
-    nk: np.ndarray
-    dl: np.ndarray
     period: float
     energy: float
     potential_label: str
     single_well_asymmetric: bool = False
 
+    def __post_init__(self) -> None:
+        # Derive the frame now, so that a degenerate speed rejects the orbit here.
+        _ = self._frame
+
     @property
     def dtau(self) -> float:
         return self.period / self.tau.size
+
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _normal_frame(self.x, self.k, self.vx, self.vk, self.dtau)
+
+    @property
+    def nx(self) -> np.ndarray:
+        return self._frame[0]
+
+    @property
+    def nk(self) -> np.ndarray:
+        return self._frame[1]
+
+    @property
+    def dl(self) -> np.ndarray:
+        return self._frame[2]
 
     def reversed(self) -> "ClassicalOrbit":
         """The same curve traversed in the opposite direction."""
@@ -64,9 +83,6 @@ class ClassicalOrbit:
             k=self.k[::-1].copy(),
             vx=-self.vx[::-1].copy(),
             vk=-self.vk[::-1].copy(),
-            nx=-self.nx[::-1].copy(),
-            nk=-self.nk[::-1].copy(),
-            dl=self.dl[::-1].copy(),
         )
 
 
@@ -83,8 +99,7 @@ def _normal_frame(x: np.ndarray, k: np.ndarray, vx: np.ndarray, vk: np.ndarray, 
 
 def orbit_frame(orbit: ClassicalOrbit) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample outward normals (shape (N, 2)) and line elements dl."""
-    nx, nk, dl = _normal_frame(orbit.x, orbit.k, orbit.vx, orbit.vk, orbit.dtau)
-    return np.stack([nx, nk], axis=1), dl
+    return np.stack([orbit.nx, orbit.nk], axis=1), orbit.dl
 
 
 def solve_orbit(
@@ -163,12 +178,9 @@ def solve_orbit(
     k_s = np.asarray(sk(tau), dtype=float)
     vx = k_s.copy()
     vk = -np.asarray(potential.derivative(x_s, 1), dtype=float)
-    nx, nk, dl = _normal_frame(x_s, k_s, vx, vk, period / n_samples)
     energy = 0.5 * k0 * k0 + float(potential.u(x0))
     asym = potential.parity_even and (np.min(x_s) > 0.0 or np.max(x_s) < 0.0)
-    return ClassicalOrbit(
-        tau, x_s, k_s, vx, vk, nx, nk, dl, period, energy, potential.label, asym
-    )
+    return ClassicalOrbit(tau, x_s, k_s, vx, vk, period, energy, potential.label, asym)
 
 
 def period_quadrature(potential: PotentialModel, energy: float) -> float:

@@ -5,7 +5,12 @@ equation dW/dtau + div J = 0.  J_x = k W is exact; J_k is the truncated
 correction series whose nu = 0 term is the classical force term -u'(x) W
 and whose nu >= 1 remainder Delta J drives every flux quantifier
 downstream.  The coefficient (i/2)^(2 nu) is the real number (-1/4)^nu,
-so no complex arithmetic is involved.
+so no complex arithmetic is involved, and a term whose potential
+derivative u^(2 nu + 1) vanishes on the grid (nu >= 2 for every catalog
+well, which is at most quartic) is skipped rather than differentiated.
+The divergence of the phase velocity is evaluated on a node window, the
+rectangle a volume correction reads, from the fields on that window plus
+the stencil's reach.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from math import factorial
 import numpy as np
 
 from .errors import RejectionError
-from .grid import MAX_DERIVATIVE_ORDER, PhaseSpaceGrid, partial_derivative
+from .grid import (
+    MAX_DERIVATIVE_ORDER, PhaseSpaceGrid, Window, node_window, partial_derivative, stencil_weights, widen_window,
+)
 from .potentials import PotentialModel
 from .states import WignerField
 
@@ -70,6 +77,10 @@ def current_k(w: WignerField, potential: PotentialModel, nu_max: int) -> np.ndar
     """Truncated correction series for the momentum component of J.
 
     J_k = -sum_{nu=0}^{nu_max} (-1/4)^nu / (2 nu + 1)! u^(2nu+1)(x) d^{2nu}W/dk^{2nu}.
+
+    A term whose u^(2nu+1) is zero at every grid x is skipped: it would
+    subtract exact zeros, so the sum keeps its values and the k-derivative
+    of that order is never taken.
     """
     if nu_max < 0:
         raise RejectionError(f"nu_max must be >= 0, got {nu_max}")
@@ -82,6 +93,8 @@ def current_k(w: WignerField, potential: PotentialModel, nu_max: int) -> np.ndar
     out = np.zeros_like(w.values)
     for nu in range(nu_max + 1):
         u_der = potential.derivative(x, 2 * nu + 1)
+        if not np.any(u_der):
+            continue
         w_der = w.values if nu == 0 else partial_derivative(w.grid, w.values, "k", 2 * nu)
         coeff = (-0.25) ** nu / factorial(2 * nu + 1)
         out -= coeff * np.asarray(u_der)[:, None] * w_der
@@ -125,20 +138,33 @@ def phase_velocity(j: CurrentField, w: WignerField, epsilon: float | None = None
     return MaskedVectorField(wx, wk, valid)
 
 
-def div_w(j: CurrentField, w: WignerField, epsilon: float | None = None) -> MaskedField:
-    """Divergence of the phase velocity, (W div J - J . grad W) / W^2.
+def div_w(
+    j: CurrentField, w: WignerField, epsilon: float | None = None, window: Window | None = None
+) -> MaskedField:
+    """Divergence of the phase velocity, (W div J - J . grad W) / W^2, on a node window.
 
     The quotient-rule form measures the departure from Liouvillian flow;
-    nodes with |W| below the mask threshold are excluded.
+    nodes with |W| below the mask threshold (relative to max|W| over the
+    whole grid) are excluded.  Only the window's nodes are evaluated (the
+    whole grid by default): J and W are read on the window widened by the
+    first-derivative stencil's half-width, clipped at the grid edge, where
+    the zero extension applies as on the whole grid, so each value equals
+    that node's whole-grid value bit for bit.  values and valid have the
+    window's shape.
     """
     eps = _mask_epsilon(w, epsilon)
-    valid = np.abs(w.values) > eps
-    div_j = partial_derivative(j.grid, j.jx, "x") + partial_derivative(j.grid, j.jk, "k")
-    grad_x = partial_derivative(w.grid, w.values, "x")
-    grad_k = partial_derivative(w.grid, w.values, "k")
-    numerator = w.values * div_j - (j.jx * grad_x + j.jk * grad_k)
-    out = np.zeros_like(w.values)
-    np.divide(numerator, w.values**2, out=out, where=valid)
+    grid = w.grid
+    if window is None:
+        window = node_window(grid.shape)
+    block = widen_window(window, stencil_weights(1).size // 2, grid.shape)
+    div_j = partial_derivative(grid, j.jx[block], "x", window=window) + partial_derivative(grid, j.jk[block], "k", window=window)
+    grad_x = partial_derivative(grid, w.values[block], "x", window=window)
+    grad_k = partial_derivative(grid, w.values[block], "k", window=window)
+    jx, jk, wv = j.jx[window], j.jk[window], w.values[window]
+    valid = np.abs(wv) > eps
+    numerator = wv * div_j - (jx * grad_x + jk * grad_k)
+    out = np.zeros_like(wv)
+    np.divide(numerator, wv**2, out=out, where=valid)
     return MaskedField(out, valid)
 
 

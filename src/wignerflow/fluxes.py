@@ -16,7 +16,11 @@ Delta J_k, div(w), one bicubic spline of W (spline.GridSpline, sampled
 on the orbit and on the region's refined lattice) and one of Delta J_k
 (fitted on the cells the orbit touches and sampled there) at most once
 each, and every loop flux, volume term and region quantity of that
-snapshot is read from those samples.  The single-quantity
+snapshot is read from those samples.  Volume corrections are evaluated
+on the node window of their mask, the bounding box of its true nodes
+(about 1 % of the grid for the orbit interior, which OrbitRegion
+computes once per orbit): div(w), the W**p weight, the integrand and its
+quadrature never touch a node outside it.  The single-quantity
 functions below are thin wrappers that build a Snapshot for one field.
 
 An independent oracle cross-checks each loop value by central finite
@@ -30,7 +34,7 @@ int W**p div(w) dV over the enclosed region, which volume_term provides.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,8 +42,8 @@ import numpy as np
 from .currents import DEFAULT_NU_MAX, CurrentField, MaskedField, delta_current, div_w, wigner_current
 from .errors import RejectionError
 from .classical import ClassicalOrbit
-from .grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
-from .observables import ENTROPY_FLOOR, power_field
+from .grid import CoordinateGrid, PhaseSpaceGrid, Window, integrate_volume, node_window
+from .observables import ENTROPY_FLOOR, power_field, require_power_domain
 from .potentials import PotentialModel
 from .spline import GridSpline
 from .states import CAPTURE_LIMIT, StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
@@ -57,14 +61,18 @@ LOOP_WEIGHTS = {
 }
 
 
-def _volume_weight(values: np.ndarray, weight: str | float) -> np.ndarray:
-    """Volume weight of int weight * div(w) dV: "one" W, "w" W^2, beta (beta-1) W**beta."""
+def _volume_weight(values: np.ndarray, weight: str | float, window: Window) -> np.ndarray:
+    """Volume weight of int weight * div(w) dV on a node window: "one" W, "w" W^2, beta (beta-1) W**beta.
+
+    Whether a non-integer beta is defined is decided on the whole grid.
+    """
     if weight == "one":
-        return values
+        return values[window]
     if weight == "w":
-        return values**2
+        return values[window] ** 2
     beta = float(weight)
-    return (beta - 1.0) * power_field(values, beta)
+    require_power_domain(values, beta)
+    return (beta - 1.0) * power_field(values[window], beta)
 
 
 def interpolate_on_orbit(grid: PhaseSpaceGrid, values: np.ndarray, orbit: ClassicalOrbit) -> np.ndarray:
@@ -115,13 +123,15 @@ class OrbitRegion:
     bounding box with fractional cell-coverage weights (subsampled on
     boundary cells), so that finite differences of region integrals are not
     polluted by staircase error.  Also exposes the plain boolean node mask
-    used by volume_term.
+    that volume corrections integrate over, and its node window.
     """
 
     def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid, refine: int = 4, subsamples: int = 8) -> None:
         self.orbit = orbit
         self.grid = grid
         self.mask = orbit_interior_mask(orbit, grid)
+        #: Bounding box of the mask's nodes, where volume corrections are evaluated.
+        self.window = node_window(grid.shape, self.mask)
 
         hx, hk = grid.h_x / refine, grid.h_k / refine
         x_lo, x_hi = orbit.x.min() - grid.h_x, orbit.x.max() + grid.h_x
@@ -179,8 +189,9 @@ class Snapshot:
 
     Fields are lazy: region quantities need only the region and never build
     the current; loop fluxes need the orbit (checked to lie two cells inside
-    the grid) and the potential; volume terms need the potential.  A snapshot
-    holds several grid-sized arrays, so keep it no longer than its time node.
+    the grid) and the potential; volume terms need the potential and read
+    div(w), computed once per node window.  A snapshot holds several
+    grid-sized arrays, so keep it no longer than its time node.
     """
 
     w: WignerField
@@ -189,6 +200,7 @@ class Snapshot:
     nu_max: int = DEFAULT_NU_MAX
     region: OrbitRegion | None = None
     epsilon_mask: float | None = None
+    _divs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid, orbit = self.w.grid, self.orbit
@@ -209,9 +221,12 @@ class Snapshot:
         """Delta J_k on the grid."""
         return delta_current(self.current, self.w, self.potential).jk
 
-    @cached_property
-    def div(self) -> MaskedField:
-        return div_w(self.current, self.w, self.epsilon_mask)
+    def div(self, window: Window) -> MaskedField:
+        """div(w) on a node window, computed once per window."""
+        key = tuple((s.start, s.stop) for s in window)
+        if key not in self._divs:
+            self._divs[key] = div_w(self.current, self.w, self.epsilon_mask, window)
+        return self._divs[key]
 
     @cached_property
     def w_spline(self) -> GridSpline:
@@ -270,14 +285,23 @@ class Snapshot:
         sign, weight = LOOP_WEIGHTS[name]
         return sign * _loop_sum(weight(w_on, beta), self.dj_on, self.orbit)
 
-    def volume(self, weight: str | float, mask: np.ndarray | None = None) -> VolumeTermResult:
-        """Volume correction int weight * div(w) dV over a node mask (see volume_term)."""
-        dv = self.div
-        integrand = _volume_weight(self.w.values, weight) * dv.values
-        keep = dv.valid if mask is None else (dv.valid & mask)
-        n_region = int(np.count_nonzero(mask)) if mask is not None else self.w.values.size
+    def volume(
+        self, weight: str | float, mask: np.ndarray | None = None, window: Window | None = None
+    ) -> VolumeTermResult:
+        """Volume correction int weight * div(w) dV over a node mask (see volume_term).
+
+        Evaluated on the mask's node window: window if given (it must hold
+        every true node of mask), else the bounding box of mask, or the
+        whole grid for mask None.
+        """
+        if window is None:
+            window = node_window(self.w.grid.shape, mask)
+        dv = self.div(window)
+        integrand = _volume_weight(self.w.values, weight, window) * dv.values
+        keep = dv.valid if mask is None else (dv.valid & mask[window])
+        n_region = self.w.values.size if mask is None else int(np.count_nonzero(mask))
         masked = n_region - int(np.count_nonzero(keep))
-        return VolumeTermResult(integrate_volume(self.w.grid, integrand, mask=keep), masked)
+        return VolumeTermResult(integrate_volume(self.w.grid, integrand, mask=keep, window=window), masked)
 
     def quantity(self, name: str, beta: float | None = None, floor: float = ENTROPY_FLOOR) -> float:
         """Region-restricted sigma / S_vN / purity / Renyi power integral."""
@@ -301,7 +325,7 @@ class Snapshot:
 
     def block(self, betas, epsilon_entropy: float = ENTROPY_FLOOR) -> dict:
         """All loop fluxes, volume terms and balance forms (see instantaneous_block)."""
-        mask = self.region.mask
+        mask, window = self.region.mask, self.region.window
         block: dict = {"tau": self.w.tau}
 
         sig = self.loop("sigma")
@@ -309,7 +333,7 @@ class Snapshot:
 
         for name, weight, volume_sign in (("svn", "one", 1.0), ("purity", "w", -1.0)):
             flux = self.loop(name, epsilon=epsilon_entropy)
-            vt = self.volume(weight, mask)
+            vt = self.volume(weight, mask, window)
             block[name] = {
                 "loop": flux,
                 "volume_term": vt.value,
@@ -329,7 +353,7 @@ class Snapshot:
             # non-integer beta whenever W dips negative somewhere on the grid or
             # region; the loop value above stays valid, so degrade per piece.
             try:
-                vt = self.volume(beta, mask)
+                vt = self.volume(beta, mask, window)
                 entry.update(volume_term=vt.value, masked_nodes=vt.masked_in_region, full=flux - vt.value)
             except RejectionError as exc:
                 entry["volume_term_rejected"] = str(exc)
@@ -396,7 +420,11 @@ def volume_term(
     weight "one" gives the entropy-balance term int W div(w); weight "w"
     gives the purity term int W^2 div(w); a float beta gives the Renyi term
     (beta - 1) int W**beta div(w).  Nodes where the phase-velocity quotient
-    is masked contribute zero and are counted.
+    is masked contribute zero and are counted.  div(w), the weight and the
+    quadrature are evaluated on the region's node window (the bounding box
+    of its true nodes; the whole grid for region None), and only its nodes
+    are checked for non-finite values; a non-integer beta is still rejected
+    when W has negative nodes above the floor anywhere on the grid.
     """
     return Snapshot(w, potential=potential, nu_max=nu_max, epsilon_mask=epsilon).volume(weight, region)
 

@@ -82,25 +82,35 @@ def von_neumann_entropy(w: WignerField, epsilon: float = ENTROPY_FLOOR) -> float
     return -integrate_volume(w.grid, integrand)
 
 
+def require_power_domain(values: np.ndarray, beta: float, floor: float = ENTROPY_FLOOR) -> None:
+    """Reject a beta for which W**beta is undefined on the given nodes.
+
+    beta must be positive and different from 1; a non-integer beta also
+    needs every node above the floor to be non-negative.
+    """
+    if beta <= 0 or beta == 1.0:
+        raise RejectionError(f"beta must be positive and different from 1, got {beta}")
+    if not float(beta).is_integer():
+        negative = int(np.count_nonzero((np.abs(values) > floor) & (values < 0.0)))
+        if negative:
+            raise RejectionError(
+                f"W**beta undefined for non-integer beta={beta}: {negative} negative nodes above floor"
+            )
+
+
 def power_field(values: np.ndarray, beta: float, floor: float = ENTROPY_FLOOR) -> np.ndarray:
     """W**beta with the signed-power convention and magnitude floor.
 
     Nodes with |W| <= floor contribute zero.  Even integer beta is always
     allowed; odd integer beta keeps the sign; non-integer beta requires a
-    non-negative field above the floor.
+    non-negative field above the floor (see require_power_domain).
     """
-    if beta <= 0 or beta == 1.0:
-        raise RejectionError(f"beta must be positive and different from 1, got {beta}")
+    require_power_domain(values, beta, floor)
     keep = np.abs(values) > floor
     out = np.zeros_like(values, dtype=float)
     if float(beta).is_integer():
         out[keep] = values[keep] ** int(beta)
         return out
-    negative = int(np.count_nonzero(keep & (values < 0.0)))
-    if negative:
-        raise RejectionError(
-            f"W**beta undefined for non-integer beta={beta}: {negative} negative nodes above floor"
-        )
     out[keep] = values[keep] ** beta
     return out
 

@@ -53,6 +53,13 @@ def gaussian_w(pgrid):
 
 
 @pytest.fixture(scope="session")
+def wide_w(pgrid):
+    """Analytic positive field far from zero on every grid edge (W = 1.8e-4 at the corners)."""
+    X, K = pgrid.meshes()
+    return WignerField(np.exp(-(X**2 + K**2) / 32.0) / (32.0 * np.pi), pgrid)
+
+
+@pytest.fixture(scope="session")
 def offset_gaussian_w(pgrid, cgrid):
     """Transformed coherent(1, 0.5) field: positive, breaks k-parity."""
     return wigner_transform(evaluate_state(coherent(1.0, 0.5), cgrid), pgrid)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wignerflow import classical
-from wignerflow.classical import orbit_frame, period_quadrature, solve_orbit
+from wignerflow.classical import ClassicalOrbit, orbit_frame, period_quadrature, solve_orbit
 from wignerflow.errors import RejectionError
 from wignerflow.potentials import double_well, harmonic, pure_quartic
 
@@ -50,6 +50,7 @@ class TestHarmonicOrbit:
         assert abs(area) == pytest.approx(4 * np.pi, abs=1e-4)
 
     def test_period_quadrature_cross_check(self):
+        pytest.importorskip("scipy")
         assert period_quadrature(harmonic(), 2.0) == pytest.approx(2 * np.pi, rel=1e-8)
 
 
@@ -65,6 +66,7 @@ class TestQuarticOrbit:
 
     def test_period_matches_turning_point_quadrature(self, quartic_orbit):
         # T = 2 int dx / sqrt(2 (E - u)) with the sqrt singularity removed
+        pytest.importorskip("scipy")
         t_ref = period_quadrature(pure_quartic(), 0.25)
         assert abs(quartic_orbit.period - t_ref) / t_ref < 1e-4
 
@@ -77,6 +79,7 @@ class TestDoubleWell:
         orbit = solve_orbit(double_well(0.25), (1.2, 0.0))
         assert orbit.single_well_asymmetric
         assert np.min(orbit.x) > 0.0
+        pytest.importorskip("scipy")
         t_ref = period_quadrature(double_well(0.25), orbit.energy)
         assert abs(orbit.period - t_ref) / t_ref < 1e-4
 
@@ -102,6 +105,24 @@ class TestContracts:
         np.testing.assert_allclose(rev.x, harmonic_orbit.x[::-1], atol=1e-12)
         np.testing.assert_allclose(rev.vx, -harmonic_orbit.vx[::-1], atol=1e-12)
         np.testing.assert_allclose(rev.nx, -harmonic_orbit.nx[::-1], atol=1e-12)
+
+    def test_reversed_frame_is_the_flipped_frame_bit_for_bit(self, quartic_orbit):
+        rev = quartic_orbit.reversed()
+        assert np.array_equal(rev.nx, -quartic_orbit.nx[::-1])
+        assert np.array_equal(rev.nk, -quartic_orbit.nk[::-1])
+        assert np.array_equal(rev.dl, quartic_orbit.dl[::-1])
+
+    def test_frame_is_derived_once_per_orbit(self, quartic_orbit):
+        o = quartic_orbit
+        nx, nk, dl = classical._normal_frame(o.x, o.k, o.vx, o.vk, o.dtau)
+        assert np.array_equal(o.nx, nx) and np.array_equal(o.nk, nk) and np.array_equal(o.dl, dl)
+        assert o.nx is o.nx and o.nk is o.nk and o.dl is o.dl
+
+    def test_degenerate_speed_rejected_at_construction(self):
+        # the velocity (v_x, v_k) = (tau, 0) vanishes at the first sample
+        tau = np.linspace(0.0, 1.0, 16)
+        with pytest.raises(RejectionError, match="degenerate sample"):
+            ClassicalOrbit(tau, tau, tau, tau, np.zeros(16), 1.0, 0.5, "test")
 
 
 class TestIntegratorProperties:

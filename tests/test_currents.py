@@ -1,9 +1,11 @@
 """Current fields, phase velocity, divergence, continuity residual."""
 
+from math import factorial
+
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline
 
+from wignerflow import currents
 from wignerflow.currents import (
     continuity_residual,
     current_k,
@@ -14,8 +16,9 @@ from wignerflow.currents import (
     wigner_current,
 )
 from wignerflow.errors import RejectionError
-from wignerflow.grid import integrate_volume, partial_derivative
-from wignerflow.potentials import harmonic, pure_quartic
+from wignerflow.fluxes import orbit_interior_mask
+from wignerflow.grid import integrate_volume, node_window, partial_derivative
+from wignerflow.potentials import PotentialModel, harmonic, pure_quartic
 from wignerflow.states import (
     WignerField,
     coherent,
@@ -24,6 +27,10 @@ from wignerflow.states import (
     harmonic_eigenstate,
     wigner_transform,
 )
+
+
+#: u = x^2/2 + x^6/10, whose fifth derivative 72 x keeps the nu = 2 term alive.
+SEXTIC = PotentialModel("sextic", (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1))
 
 
 class TestCurrentX:
@@ -71,6 +78,33 @@ class TestCurrentK:
         b = current_k(cat_w, pure_quartic(), 2)
         assert np.array_equal(a, b)
 
+    def test_sextic_keeps_its_fifth_derivative_term(self, cat_w):
+        assert not np.array_equal(current_k(cat_w, SEXTIC, 2), current_k(cat_w, SEXTIC, 1))
+
+    def test_pure_quartic_equals_the_full_sum(self, cat_w):
+        # every term of the series, the vanishing nu = 2 one included
+        pot, grid = pure_quartic(), cat_w.grid
+        reference = np.zeros_like(cat_w.values)
+        for nu in range(3):
+            w_der = cat_w.values if nu == 0 else partial_derivative(grid, cat_w.values, "k", 2 * nu)
+            u_der = np.asarray(pot.derivative(grid.x, 2 * nu + 1))
+            reference -= (-0.25) ** nu / factorial(2 * nu + 1) * u_der[:, None] * w_der
+        assert np.array_equal(current_k(cat_w, pot, 2), reference)
+
+    def test_terms_with_a_zero_potential_derivative_take_no_k_derivative(self, monkeypatch, cat_w):
+        orders = []
+
+        def recording(grid, values, axis, order=1, window=None):
+            orders.append(order)
+            return partial_derivative(grid, values, axis, order, window)
+
+        monkeypatch.setattr(currents, "partial_derivative", recording)
+        current_k(cat_w, pure_quartic(), 2)
+        assert orders == [2]
+        orders.clear()
+        current_k(cat_w, SEXTIC, 2)
+        assert orders == [2, 4]
+
     def test_unsupported_truncation_rejected(self, ground_w):
         with pytest.raises(RejectionError, match="beyond the supported maximum"):
             current_k(ground_w, pure_quartic(), 4)
@@ -97,7 +131,8 @@ class TestDeltaCurrent:
         # and interpolates to zero on the x = 0 line
         j = wigner_current(ground_w, pure_quartic(), 2)
         dj = delta_current(j, ground_w, pure_quartic())
-        spline = RectBivariateSpline(ground_w.grid.x, ground_w.grid.k, dj.jk)
+        interpolate = pytest.importorskip("scipy.interpolate")
+        spline = interpolate.RectBivariateSpline(ground_w.grid.x, ground_w.grid.k, dj.jk)
         line = spline(np.array([0.0]), ground_w.grid.k)[0]
         assert np.max(np.abs(line)) < 1e-8
 
@@ -157,6 +192,49 @@ class TestDivW:
         dv2 = div_w(scaled_j, scaled_w)
         both = dv.valid & dv2.valid
         np.testing.assert_allclose(dv2.values[both], dv.values[both], rtol=1e-9, atol=1e-12)
+
+
+class TestWindowedDivW:
+    @pytest.mark.parametrize("field", ["offset_gaussian_w", "cat_w"])
+    def test_region_window_equals_the_whole_grid(self, field, request, quartic_orbit):
+        w = request.getfixturevalue(field)
+        j = wigner_current(w, pure_quartic(), 2)
+        window = node_window(w.grid.shape, orbit_interior_mask(quartic_orbit, w.grid))
+        whole, part = div_w(j, w), div_w(j, w, window=window)
+        assert part.values.shape == (window[0].stop - window[0].start, window[1].stop - window[1].start)
+        assert part.valid.any()
+        assert np.array_equal(part.values, whole.values[window])
+        assert np.array_equal(part.valid, whole.valid[window])
+
+    @pytest.mark.parametrize(
+        "window",
+        [(slice(0, 12), slice(0, 9)), (slice(244, 256), slice(240, 256)), (slice(1, 20), slice(254, 255)),
+         (slice(0, 256), slice(0, 256)), (slice(0, 0), slice(0, 0))],
+        ids=["low_edges", "high_edges", "one_in", "whole", "empty"],
+    )
+    def test_edge_windows_equal_the_whole_grid(self, window, wide_w):
+        w = wide_w
+        j = wigner_current(w, pure_quartic(), 2)
+        whole, part = div_w(j, w), div_w(j, w, window=window)
+        assert part.valid.all()
+        assert np.array_equal(part.values, whole.values[window])
+
+    def test_reads_the_window_plus_the_stencil_reach(self, monkeypatch, cat_w, quartic_orbit):
+        received = []
+
+        def recording(grid, values, axis, order=1, window=None):
+            received.append((np.shape(values), window))
+            return partial_derivative(grid, values, axis, order, window)
+
+        j = wigner_current(cat_w, pure_quartic(), 2)
+        window = node_window(cat_w.grid.shape, orbit_interior_mask(quartic_orbit, cat_w.grid))
+        monkeypatch.setattr(currents, "partial_derivative", recording)
+        div_w(j, cat_w, window=window)
+        extent = (window[0].stop - window[0].start, window[1].stop - window[1].start)
+        assert len(received) == 4
+        for shape, win in received:
+            assert win == window
+            assert shape[0] <= extent[0] + 4 and shape[1] <= extent[1] + 4
 
 
 class TestContinuityResidual:

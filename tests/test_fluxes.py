@@ -26,10 +26,45 @@ from wignerflow.fluxes import (
 )
 from wignerflow.grid import PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import div_w, wigner_current
+from wignerflow.observables import power_field
 from wignerflow.potentials import harmonic, pure_quartic
 from wignerflow.states import WignerField, coherent, evaluate_state, evolve_wavefunction, wigner_transform
 
 BETAS = (0.5, 2.0, 3.0)
+
+
+def whole_grid_volume(w, pot, mask, weight):
+    """The volume term with div(w) and the weight on every node, then the masked sum.
+
+    Returns the value, the masked-node count and the integral of the
+    integrand's magnitude, the scale of the sum's rounding.
+    """
+    dv = div_w(wigner_current(w, pot, 2), w)
+    if weight == "one":
+        factor = w.values
+    elif weight == "w":
+        factor = w.values**2
+    else:
+        factor = (weight - 1.0) * power_field(w.values, weight)
+    keep = dv.valid if mask is None else dv.valid & mask
+    n_region = w.values.size if mask is None else int(np.count_nonzero(mask))
+    integrand = factor * dv.values
+    return (
+        integrate_volume(w.grid, integrand, mask=keep),
+        n_region - int(np.count_nonzero(keep)),
+        integrate_volume(w.grid, np.abs(integrand), mask=keep),
+    )
+
+
+def edge_masks(grid):
+    """Node masks reaching the low edges, the high edges, one edge, and all four."""
+    masks = {name: np.zeros(grid.shape, dtype=bool) for name in ("low", "high", "strip", "all")}
+    masks["low"][0:12, 0:9] = True
+    masks["low"][3, 4] = False
+    masks["high"][244:, 240:] = True
+    masks["strip"][100:140, 0:3] = True
+    masks["all"][0, 50] = masks["all"][255, 60] = masks["all"][70, 0] = masks["all"][80, 255] = True
+    return masks
 
 
 class TestInterpolateOnOrbit:
@@ -61,7 +96,7 @@ class TestInteriorMask:
 
     def test_coverage_weights_refine_the_area(self, pgrid, quartic_orbit):
         # enclosed area of the E = 1/4 quartic orbit: 2 int sqrt(2(E - x^4/4))
-        from scipy.integrate import quad
+        quad = pytest.importorskip("scipy.integrate").quad
 
         ref = 2 * quad(lambda x: np.sqrt(2 * (0.25 - x**4 / 4)), -1, 1)[0]
         region = OrbitRegion(quartic_orbit, pgrid)
@@ -163,6 +198,83 @@ class TestVolumeTerm:
         assert volume_term(w, pot, 2, None, mask, "w").value == pytest.approx(ref_w, rel=1e-14)
         # Renyi weight carries the (beta - 1) prefactor; beta = 2 reduces to w
         assert volume_term(w, pot, 2, None, mask, 2.0).value == pytest.approx(ref_w, rel=1e-14)
+
+    # A node window sums the same node values in a different order, so the
+    # bound is relative to the integrand's magnitude: a cat state's volume
+    # term cancels to ~1e-16 of terms that are each far larger.
+    @pytest.mark.parametrize("weight", ["one", "w", 2.0, 3.0])
+    @pytest.mark.parametrize("field", ["offset_gaussian_w", "cat_w"])
+    def test_region_window_matches_the_whole_grid(self, field, weight, request, quartic_orbit, pgrid):
+        w = request.getfixturevalue(field)
+        mask = orbit_interior_mask(quartic_orbit, pgrid)
+        ref, ref_masked, scale = whole_grid_volume(w, pure_quartic(), mask, weight)
+        vt = volume_term(w, pure_quartic(), 2, None, mask, weight)
+        assert scale > 0.0
+        assert abs(vt.value - ref) <= 1e-14 * scale
+        assert vt.masked_in_region == ref_masked
+
+    @pytest.mark.parametrize("weight", ["one", "w", 2.0, 3.0])
+    @pytest.mark.parametrize("mask_name", ["low", "high", "strip", "all"])
+    def test_edge_masks_match_the_whole_grid(self, mask_name, weight, wide_w, pgrid):
+        w, mask = wide_w, edge_masks(pgrid)[mask_name]
+        ref, ref_masked, scale = whole_grid_volume(w, pure_quartic(), mask, weight)
+        vt = volume_term(w, pure_quartic(), 2, None, mask, weight)
+        assert abs(ref) > 0.0
+        assert abs(vt.value - ref) <= 1e-14 * scale
+        assert vt.masked_in_region == ref_masked
+
+    @pytest.mark.parametrize("weight", ["one", "w", 3.0])
+    def test_no_mask_is_the_whole_grid(self, weight, offset_gaussian_w):
+        ref, ref_masked, _ = whole_grid_volume(offset_gaussian_w, pure_quartic(), None, weight)
+        vt = volume_term(offset_gaussian_w, pure_quartic(), 2, None, None, weight)
+        assert (vt.value, vt.masked_in_region) == (ref, ref_masked)
+
+    def test_empty_mask_gives_zero(self, offset_gaussian_w, pgrid):
+        empty = np.zeros(pgrid.shape, dtype=bool)
+        for weight in ("one", "w", 3.0):
+            vt = volume_term(offset_gaussian_w, pure_quartic(), 2, None, empty, weight)
+            assert (vt.value, vt.masked_in_region) == (0.0, 0)
+
+    @pytest.mark.parametrize("mask_name", ["region", "empty"])
+    def test_fractional_beta_rejection_counts_the_whole_grid(self, mask_name, offset_gaussian_w, quartic_orbit, pgrid):
+        # the noise-level negative nodes of a transformed field reject beta =
+        # 0.5 wherever they are, inside the mask's window or not
+        w = offset_gaussian_w
+        mask = orbit_interior_mask(quartic_orbit, pgrid) if mask_name == "region" else np.zeros(pgrid.shape, dtype=bool)
+        with pytest.raises(RejectionError) as whole:
+            power_field(w.values, 0.5)
+        with pytest.raises(RejectionError) as windowed:
+            volume_term(w, pure_quartic(), 2, None, mask, 0.5)
+        negative = int(np.count_nonzero((np.abs(w.values) > 1e-30) & (w.values < 0.0)))
+        expected = f"W**beta undefined for non-integer beta=0.5: {negative} negative nodes above floor"
+        assert str(windowed.value) == str(whole.value) == expected
+
+    def test_block_reads_only_the_region_window(self, monkeypatch, offset_gaussian_w, quartic_orbit, pgrid):
+        region = OrbitRegion(quartic_orbit, pgrid)
+        extent = (region.window[0].stop - region.window[0].start, region.window[1].stop - region.window[1].start)
+        assert extent[0] * extent[1] <= 0.02 * pgrid.n_x * pgrid.n_k
+        seen = Counter()
+
+        def recorded(name, fn, shape_of):
+            def wrapper(*args, **kwargs):
+                seen[(name, shape_of(*args, **kwargs))] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        bounds = lambda window: tuple((s.start, s.stop) for s in window)  # noqa: E731
+        monkeypatch.setattr(fluxes, "div_w", recorded("div_w", div_w, lambda j, w, eps, window: bounds(window)))
+        monkeypatch.setattr(fluxes, "power_field", recorded("power", power_field, lambda v, *rest: v.shape))
+        monkeypatch.setattr(
+            fluxes, "integrate_volume", recorded("sum", integrate_volume, lambda g, v, mask, window: v.shape)
+        )
+        instantaneous_block(offset_gaussian_w, quartic_orbit, pure_quartic(), 2, BETAS, region=region)
+        # one div(w); the beta = 2 and 3 weights and the four volume sums on
+        # the window (the beta = 0.5 term rejects first), and no call on the grid
+        assert [key for key in seen if key[0] == "div_w"] == [("div_w", bounds(region.window))]
+        assert seen[("div_w", bounds(region.window))] == 1
+        assert seen[("power", extent)] == 2
+        assert seen[("sum", extent)] == 4
+        assert not any(shape == pgrid.shape for _, shape in seen)
 
     def test_full_grid_diagnostic_is_finite_and_small(self, ground_w):
         vt = volume_term(ground_w, pure_quartic(), 2, None, None, "one")

@@ -10,8 +10,10 @@ from wignerflow.grid import (
     DimensionlessMap,
     PhaseSpaceGrid,
     integrate_volume,
+    node_window,
     partial_derivative,
     stencil_weights,
+    widen_window,
 )
 
 INTERIOR = np.s_[5:-5, 5:-5]
@@ -58,6 +60,26 @@ class TestIntegrateVolume:
         field[3, 7] = np.nan
         with pytest.raises(RejectionError, match=r"i_x=3, i_k=7"):
             integrate_volume(pgrid, field)
+
+    def test_window_equals_the_masked_whole_grid(self, pgrid):
+        f = np.random.default_rng(5).normal(size=pgrid.shape)
+        for window in ((slice(0, 40), slice(100, 256)), (slice(17, 18), slice(3, 90)), (slice(0, 0), slice(0, 0))):
+            mask = np.zeros(pgrid.shape, dtype=bool)
+            mask[window] = True
+            whole = integrate_volume(pgrid, f, mask=mask)
+            got = integrate_volume(pgrid, f[window], window=window)
+            assert abs(got - whole) <= 1e-14 * integrate_volume(pgrid, np.abs(f), mask=mask)
+
+    def test_windowed_non_finite_names_the_grid_node(self, pgrid):
+        window = (slice(10, 20), slice(30, 40))
+        field = np.ones((10, 10))
+        field[3, 7] = np.inf
+        with pytest.raises(RejectionError, match=r"i_x=13, i_k=37"):
+            integrate_volume(pgrid, field, window=window)
+
+    def test_field_not_covering_the_window_rejected(self, pgrid):
+        with pytest.raises(RejectionError, match="does not match the window"):
+            integrate_volume(pgrid, np.ones((4, 4)), window=(slice(0, 5), slice(0, 4)))
 
     def test_linearity(self, pgrid):
         rng = np.random.default_rng(11)
@@ -124,7 +146,7 @@ class TestStencils:
     @pytest.mark.parametrize("order", range(1, MAX_DERIVATIVE_ORDER + 1))
     def test_matches_a_zero_extended_correlation(self, order, axis, cat_w):
         # the slice sum equals scipy's constant-mode correlation, edges included
-        from scipy.ndimage import correlate1d
+        correlate1d = pytest.importorskip("scipy.ndimage").correlate1d
 
         grid = cat_w.grid
         h = grid.h_x if axis == "x" else grid.h_k
@@ -140,6 +162,55 @@ class TestStencils:
     def test_bad_axis_rejected(self, pgrid):
         with pytest.raises(RejectionError):
             partial_derivative(pgrid, np.ones(pgrid.shape), "q", 1)
+
+
+class TestNodeWindow:
+    def test_bounding_box_of_the_true_nodes(self):
+        mask = np.zeros((20, 30), dtype=bool)
+        mask[3, 7] = mask[9, 4] = mask[5, 12] = True
+        assert node_window(mask.shape, mask) == (slice(3, 10), slice(4, 13))
+
+    def test_whole_grid_for_none_and_empty_for_no_nodes(self):
+        assert node_window((20, 30)) == (slice(0, 20), slice(0, 30))
+        assert node_window((20, 30), np.zeros((20, 30), dtype=bool)) == (slice(0, 0), slice(0, 0))
+
+    def test_nodes_on_the_edges_span_the_grid(self):
+        mask = np.zeros((20, 30), dtype=bool)
+        mask[0, 5] = mask[19, 6] = mask[7, 0] = mask[8, 29] = True
+        assert node_window(mask.shape, mask) == (slice(0, 20), slice(0, 30))
+
+    def test_widening_clips_at_the_grid_edge(self):
+        assert widen_window((slice(1, 5), slice(26, 28)), 2, (20, 30)) == (slice(0, 7), slice(24, 30))
+
+
+#: Node windows of the 256 x 256 test grid: interior, on each edge, one node
+#: in from an edge, a single node and an empty one.
+WINDOWS = {
+    "interior": (slice(100, 131), slice(90, 112)),
+    "low_edges": (slice(0, 12), slice(0, 9)),
+    "high_edges": (slice(244, 256), slice(240, 256)),
+    "one_in": (slice(1, 20), slice(254, 255)),
+    "single": (slice(128, 129), slice(7, 8)),
+    "empty": (slice(0, 0), slice(0, 0)),
+}
+
+
+class TestWindowedStencil:
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    @pytest.mark.parametrize("axis", ["x", "k"])
+    @pytest.mark.parametrize("order", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_equals_the_whole_grid_derivative_bit_for_bit(self, order, axis, window, pgrid):
+        window = WINDOWS[window]
+        f = np.random.default_rng(order).normal(size=pgrid.shape)
+        block = widen_window(window, stencil_weights(order).size // 2, pgrid.shape)
+        got = partial_derivative(pgrid, f[block], axis, order, window=window)
+        assert np.array_equal(got, partial_derivative(pgrid, f, axis, order)[window])
+
+    def test_block_narrower_than_the_stencil_reach_rejected(self, pgrid):
+        window = WINDOWS["interior"]
+        block = widen_window(window, 1, pgrid.shape)
+        with pytest.raises(RejectionError, match="does not match the window"):
+            partial_derivative(pgrid, np.ones(pgrid.shape)[block], "x", 1, window=window)
 
 
 class TestGridTypes:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from wignerflow.errors import RejectionError
 from wignerflow.fluxes import OrbitRegion
@@ -25,7 +24,7 @@ class FitpackLattice:
     """RectBivariateSpline behind GridSpline's lattice method, for OrbitRegion.refine."""
 
     def __init__(self, grid, values):
-        self.spline = RectBivariateSpline(grid.x, grid.k, values)
+        self.spline = pytest.importorskip("scipy.interpolate").RectBivariateSpline(grid.x, grid.k, values)
 
     def lattice(self, x, k):
         return self.spline(x, k)
@@ -45,8 +44,9 @@ def not_a_knot_system(n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [4, 5, 16, 17, 256, 257, 2048])
 class TestUniformAxis:
     def test_slopes_and_pieces_match_cubic_spline(self, n, complex_values):
+        interpolate = pytest.importorskip("scipy.interpolate")
         y = random_values(n, complex_values)
-        reference = CubicSpline(np.arange(n) * H, y)
+        reference = interpolate.CubicSpline(np.arange(n) * H, y)
         s = slopes(y, H)
         scale = np.max(np.abs(s))
         assert np.max(np.abs(s - reference(np.arange(n) * H, 1))) <= 1e-12 * scale
@@ -55,9 +55,10 @@ class TestUniformAxis:
         assert np.max(np.abs(c - reference.c) * H ** np.arange(3, -1, -1)[:, None]) <= 1e-12 * scale * H
 
     def test_evaluation_matches_cubic_spline(self, n, complex_values):
+        interpolate = pytest.importorskip("scipy.interpolate")
         y = random_values(n, complex_values)
         x0 = -0.5
-        reference = CubicSpline(x0 + np.arange(n) * H, y)
+        reference = interpolate.CubicSpline(x0 + np.arange(n) * H, y)
         points = x0 + np.random.default_rng(1).uniform(0.0, (n - 1) * H, 500)
         got = UniformSpline(x0, H, y)(points)
         assert np.max(np.abs(got - reference(points))) <= 1e-12 * np.max(np.abs(slopes(y, H))) * H
@@ -92,8 +93,9 @@ def test_fewer_than_four_nodes_rejected(n):
 @pytest.mark.parametrize("field", ["offset_gaussian_w", "cat_w"])
 class TestGridSpline:
     def test_orbit_samples_match_rect_bivariate_spline(self, field, request, quartic_orbit):
+        interpolate = pytest.importorskip("scipy.interpolate")
         w = request.getfixturevalue(field)
-        reference = RectBivariateSpline(w.grid.x, w.grid.k, w.values).ev(quartic_orbit.x, quartic_orbit.k)
+        reference = interpolate.RectBivariateSpline(w.grid.x, w.grid.k, w.values).ev(quartic_orbit.x, quartic_orbit.k)
         got = GridSpline(w.grid, w.values).ev(quartic_orbit.x, quartic_orbit.k)
         assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(w.values))
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from wignerflow import states
 from wignerflow.errors import RejectionError
@@ -28,7 +27,8 @@ def full_lattice_transform(phi, grid):
     y = np.arange(-m, m + 1) * cgrid.h
     wy = np.full(y.size, cgrid.h)
     wy[0] = wy[-1] = 0.5 * cgrid.h
-    spline = CubicSpline(cgrid.x, phi.values, extrapolate=False)
+    interpolate = pytest.importorskip("scipy.interpolate")
+    spline = interpolate.CubicSpline(cgrid.x, phi.values, extrapolate=False)
     minus = np.nan_to_num(spline(grid.x[:, None] - y[None, :]))
     plus = np.nan_to_num(spline(grid.x[:, None] + y[None, :]))
     return (((minus * np.conj(plus)) * wy) @ np.exp(2j * np.outer(y, grid.k))).real / np.pi
@@ -95,7 +95,8 @@ class TestWignerTransform:
 
     def test_first_excited_negativity_at_origin(self, excited_w, pgrid):
         # Laguerre form: W_1(0, 0) = -1/pi
-        spline = RectBivariateSpline(pgrid.x, pgrid.k, excited_w.values)
+        interpolate = pytest.importorskip("scipy.interpolate")
+        spline = interpolate.RectBivariateSpline(pgrid.x, pgrid.k, excited_w.values)
         assert float(spline.ev(0.0, 0.0)) == pytest.approx(-1.0 / np.pi, abs=1e-5)
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS, ids=lambda s: s.kind + str(s.n))
@@ -110,7 +111,7 @@ class TestWignerTransform:
         wk = np.full(pgrid.n_k, pgrid.h_k)
         wk[0] = wk[-1] = pgrid.h_k / 2
         marginal = w.values @ wk
-        density = CubicSpline(cgrid.x, np.abs(phi.values) ** 2)(pgrid.x)
+        density = pytest.importorskip("scipy.interpolate").CubicSpline(cgrid.x, np.abs(phi.values) ** 2)(pgrid.x)
         assert np.max(np.abs(marginal - density)) < 1e-6
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS[:4], ids=lambda s: s.kind + str(s.n))
