@@ -23,13 +23,13 @@ from .errors import ConfigError, RejectionError, WignerFlowError
 from .fluxes import (
     OrbitRegion,
     Snapshot,
-    interpolate_on_orbit,
-    oracle_flux,
+    oracle_rates,
     oracle_times,
     orbit_interior_mask,
     period_accumulation,
     propagate_states,
     purity_flux,
+    quantities,
     renyi_flux,
     sigma_flux,
     svn_flux,

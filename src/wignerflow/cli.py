@@ -385,11 +385,6 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
             [t for tau in config.output_times for t in fx.oracle_times(tau, config.dtau_fd)],
             dtau_oracle,
         )
-    oracle_kw = dict(
-        pgrid=config.grid, cgrid=config.coordinate_grid,
-        dtau_fd=config.dtau_fd, dtau_evolve=dtau_oracle,
-        region=region, floor=config.epsilon_entropy, states=oracle_phis,
-    )
 
     for t in config.output_times:
         with _stage("states.wigner_transform"):
@@ -400,9 +395,7 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
                 config.epsilon_entropy, config.epsilon_mask, region,
             )
         with _stage("fluxes.oracle"):
-            fx.attach_oracles(
-                blk, config.state, config.potential, orbit, config.beta_list, **oracle_kw,
-            )
+            fx.attach_oracles(blk, oracle_phis, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
         blocks.append(blk)
         say(f"tau={t:g}: sigma={blk['sigma']['loop']:.3e} (dev {blk['sigma']['rel_dev']:.2%})")
         if emit:

@@ -1,15 +1,28 @@
 """Continuity-equation flux quantifiers along classical orbits.
 
-Loop integrals of the quantum current remainder Delta J against the
-weights {1, ln W, W, W**(beta-1)} quantify probability, entropy, purity
-and Renyi-entropy transport across a classical orbit; all of them vanish
-identically when the current is classical.  Signs follow the printed
-loop formulas (LOOP_WEIGHTS):
+Probability, von Neumann entropy, purity and Renyi entropy transport are
+one family, held here in one table of Quantity rows (quantities(betas)
+lists them).  Each row gives a loop flux along the orbit,
 
-    sigma:  - integral dtau  Delta J_k  dx/dtau
-    svn:    + integral dtau  ln|W| Delta J_k  dx/dtau
-    purity: - integral dtau  W Delta J_k  dx/dtau
-    renyi:  - integral dtau  W**(beta-1) Delta J_k  dx/dtau
+    sign * integral dtau  weight(W) Delta J_k  dx/dtau,
+
+a volume correction sign * int p(W) div(w) dV over the orbit interior,
+and a region quantity factor * int density(W) dA over the same interior,
+whose rate the balance form loop + volume matches:
+
+    row      loop            volume                 region quantity
+    sigma    - 1             (none)                 int W
+    svn      + ln|W|         + W                    -int W ln|W|
+    purity   - W             - W^2                  2 pi int W^2  (rate / 2 pi)
+    renyi    - W**(beta-1)   - (beta-1) W**beta     int W**beta
+
+Every loop flux vanishes identically when the current is classical.  A
+row's domain rule says where its weight is defined: ln|W| and a power
+with beta < 1 need |W| > epsilon, a fractional power needs W >= 0 above
+the floor.  The loop form, its per-point form in period_accumulation and
+the volume term all read that rule from the row.  The svn and purity
+densities are the integrands of observables.von_neumann_entropy and
+observables.purity.
 
 Each Wigner snapshot is evaluated once: a Snapshot computes the current,
 Delta J_k, div(w), one bicubic spline of W (spline.GridSpline, sampled
@@ -20,20 +33,20 @@ snapshot is read from those samples.  Volume corrections are evaluated
 on the node window of their mask, the bounding box of its true nodes
 (about 1 % of the grid for the orbit interior, which OrbitRegion
 computes once per orbit): div(w), the W**p weight, the integrand and its
-quadrature never touch a node outside it.  The single-quantity
-functions below are thin wrappers that build a Snapshot for one field.
+quadrature never touch a node outside it.
 
-An independent oracle cross-checks each loop value by central finite
-differences of the orbit-interior integral of the matching quantity,
-with the state advanced by the spectral propagator; propagate_states
-reaches every oracle time of a run in one sweep.  The exact balance
-relations connecting the two routes carry the volume correction
-int W**p div(w) dV over the enclosed region, which volume_term provides.
+The oracle, oracle_rates, cross-checks every row at once by central
+finite differences of its region quantity between two states taken from
+propagate_states, which reaches every oracle time of a run in one sweep
+of the spectral propagator.  It never touches the current series or its
+truncation order; that independence is what lets it adjudicate the loop
+formulas.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,44 +56,102 @@ from .currents import DEFAULT_NU_MAX, CurrentField, MaskedField, delta_current, 
 from .errors import RejectionError
 from .classical import ClassicalOrbit
 from .grid import CoordinateGrid, PhaseSpaceGrid, Window, integrate_volume, node_window
-from .observables import ENTROPY_FLOOR, power_field, require_power_domain
+from .observables import (
+    ENTROPY_FLOOR,
+    PURITY_FACTOR,
+    entropy_density,
+    negative_nodes,
+    power_field,
+    require_beta,
+    require_power_domain,
+)
 from .potentials import PotentialModel
 from .spline import GridSpline
 from .states import CAPTURE_LIMIT, StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
 
-QUANTITIES = ("sigma", "svn", "purity", "renyi")
-
-#: Sign and weight(W, beta) of each loop flux, sign * integral dtau weight Delta J_k dx/dtau.
-#: W is the orbit samples (loop form) or one sample (diagonal form); callers
-#: apply each quantity's rejection rules first and pass |W| to a fractional power.
-LOOP_WEIGHTS = {
-    "sigma": (-1.0, lambda w, beta: 1.0),
-    "svn": (1.0, lambda w, beta: np.log(np.abs(w))),
-    "purity": (-1.0, lambda w, beta: w),
-    "renyi": (-1.0, lambda w, beta: w ** (beta - 1.0)),
-}
+#: Refined-lattice nodes of OrbitRegion per grid cell and axis.
+REGION_REFINE = 4
+#: Sub-samples per refined cell and axis of OrbitRegion's coverage test.
+COVERAGE_SUBSAMPLES = 8
 
 
-def _volume_weight(values: np.ndarray, weight: str | float, window: Window) -> np.ndarray:
-    """Volume weight of int weight * div(w) dV on a node window: "one" W, "w" W^2, beta (beta-1) W**beta.
+@dataclass(frozen=True, eq=False)
+class Quantity:
+    """One row of the flux table (see the module docstring).
 
-    Whether a non-integer beta is defined is decided on the whole grid.
+    loop is (sign, weight): weight maps W at orbit samples inside the
+    domain to the weight of Delta J_k.  volume is (sign, p), with p mapping
+    W on a node window to the factor of div(w), or None for no volume
+    correction.  density(W, floor) is the integrand of the region quantity,
+    which is scaled by factor.  A fractional row is undefined where W is
+    negative above the floor, a singular row where |W| <= epsilon.
     """
-    if weight == "one":
-        return values[window]
-    if weight == "w":
-        return values[window] ** 2
-    beta = float(weight)
-    require_power_domain(values, beta)
-    return (beta - 1.0) * power_field(values[window], beta)
+
+    name: str
+    loop: tuple[float, Callable]
+    volume: tuple[float, Callable] | None
+    density: Callable
+    factor: float = 1.0
+    beta: float | None = None
+    fractional: bool = False
+    singular: bool = False
+    #: Warn on an unnormalized field: ln|cW| = ln c + ln|W| shifts the weight.
+    scale_sensitive: bool = False
+
+    @property
+    def tag(self) -> str:
+        """The row's key within its block section: its name, or beta for a Renyi row."""
+        return self.name if self.beta is None else f"{self.beta:g}"
+
+    @property
+    def key(self) -> str:
+        """The row's key in oracle_rates and period_accumulation."""
+        return self.name if self.beta is None else f"renyi_{self.tag}"
+
+    def entry(self, block: dict) -> dict:
+        """The row's entry in an instantaneous block; Renyi entries nest under "renyi"."""
+        return (block if self.beta is None else block["renyi"])[self.tag]
+
+    def check(self, epsilon: float) -> None:
+        """Reject parameters the row is undefined for: its beta, or epsilon of a singular weight."""
+        if self.beta is not None:
+            require_beta(self.beta)
+        if self.singular and epsilon <= 0:
+            raise RejectionError(f"epsilon must be positive, got {epsilon}")
+
+    def outside(self, w, epsilon: float):
+        """The domain rule at W samples w: masks (negative, small) of those outside it."""
+        negative = self.fractional and negative_nodes(w, epsilon)
+        small = self.singular and np.abs(w) <= epsilon
+        return negative, small
 
 
-def interpolate_on_orbit(grid: PhaseSpaceGrid, values: np.ndarray, orbit: ClassicalOrbit) -> np.ndarray:
-    """Bicubic samples of a grid field at the orbit points.
+SIGMA = Quantity("sigma", loop=(-1.0, lambda w: 1.0), volume=None, density=lambda v, floor: v)
+SVN = Quantity(
+    "svn", loop=(1.0, lambda w: np.log(np.abs(w))), volume=(1.0, lambda v: v), density=entropy_density,
+    singular=True, scale_sensitive=True,
+)
+PURITY = Quantity(
+    "purity", loop=(-1.0, lambda w: w), volume=(-1.0, np.square), density=lambda v, floor: np.square(v),
+    factor=PURITY_FACTOR,
+)
 
-    The orbit must stay at least two cells inside the grid boundary.
-    """
-    return Snapshot(WignerField(values, grid), orbit).w_on
+
+def renyi(beta: float) -> Quantity:
+    """The Renyi row of one beta; a fractional power reads |W| inside its domain."""
+    fractional = not float(beta).is_integer()
+    return Quantity(
+        "renyi",
+        loop=(-1.0, lambda w: (abs(w) if fractional else w) ** (beta - 1.0)),
+        volume=(-1.0, lambda v: (beta - 1.0) * power_field(v, beta)),
+        density=lambda v, floor: power_field(v, beta, floor),
+        beta=beta, fractional=fractional, singular=beta < 1.0,
+    )
+
+
+def quantities(betas=()) -> list[Quantity]:
+    """The flux table: sigma, svn, purity and one Renyi row per beta."""
+    return [SIGMA, SVN, PURITY, *map(renyi, betas)]
 
 
 def _scanline_inside(xs: np.ndarray, ks: np.ndarray, vx: np.ndarray, vk: np.ndarray) -> np.ndarray:
@@ -126,14 +197,14 @@ class OrbitRegion:
     that volume corrections integrate over, and its node window.
     """
 
-    def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid, refine: int = 4, subsamples: int = 8) -> None:
+    def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> None:
         self.orbit = orbit
         self.grid = grid
         self.mask = orbit_interior_mask(orbit, grid)
         #: Bounding box of the mask's nodes, where volume corrections are evaluated.
         self.window = node_window(grid.shape, self.mask)
 
-        hx, hk = grid.h_x / refine, grid.h_k / refine
+        hx, hk = grid.h_x / REGION_REFINE, grid.h_k / REGION_REFINE
         x_lo, x_hi = orbit.x.min() - grid.h_x, orbit.x.max() + grid.h_x
         k_lo, k_hi = orbit.k.min() - grid.h_k, orbit.k.max() + grid.h_k
         self._fx = np.arange(x_lo, x_hi + hx, hx)
@@ -143,31 +214,21 @@ class OrbitRegion:
         self._cell_area = hx * hk
 
         # Coverage fraction of each node-centered cell, from an exact winding
-        # test on a subsamples x subsamples sub-lattice per cell.
-        frac = (np.arange(subsamples) + 0.5) / subsamples - 0.5
+        # test on a sub-lattice of COVERAGE_SUBSAMPLES**2 points per cell.
+        n = COVERAGE_SUBSAMPLES
+        frac = (np.arange(n) + 0.5) / n - 0.5
         sub_x = (self._fx[:, None] + hx * frac[None, :]).ravel()
         sub_k = (self._fk[:, None] + hk * frac[None, :]).ravel()
         inside = _scanline_inside(sub_x, sub_k, orbit.x, orbit.k)
-        inside = inside.reshape(self._fx.size, subsamples, self._fk.size, subsamples)
-        self._weights = inside.mean(axis=(1, 3))
+        self._weights = inside.reshape(self._fx.size, n, self._fk.size, n).mean(axis=(1, 3))
 
     def refine(self, spline: GridSpline) -> np.ndarray:
         """Samples of a fitted grid spline on the refined lattice."""
         return spline.lattice(self._fx, self._fk)
 
-    def fine_integral(self, fine: np.ndarray, func=None) -> float:
-        """Integral over the enclosed region of func(fine) for refined-lattice samples."""
-        if func is not None:
-            fine = func(fine)
+    def fine_integral(self, fine: np.ndarray) -> float:
+        """Integral over the enclosed region of refined-lattice samples."""
         return float(np.sum(fine * self._weights) * self._cell_area)
-
-    def integral(self, values: np.ndarray, func=None) -> float:
-        """Integral over the enclosed region of func(W) (default: W itself)."""
-        return self.fine_integral(self.refine(GridSpline(self.grid, values, self.corners)), func)
-
-    def quantity(self, w: WignerField, name: str, beta: float | None = None, floor: float = ENTROPY_FLOOR) -> float:
-        """Region-restricted sigma / S_vN / purity / Renyi power integral."""
-        return Snapshot(w, region=self).quantity(name, beta, floor)
 
 
 def _loop_sum(weights, delta_jk: np.ndarray, orbit: ClassicalOrbit) -> float:
@@ -252,43 +313,37 @@ class Snapshot:
         """W on the region's refined lattice."""
         return self.region.refine(self.w_spline)
 
-    def loop(self, name: str, beta: float | None = None, epsilon: float = ENTROPY_FLOOR) -> float:
-        """Loop flux of one quantity, with that quantity's rejection rules.
+    def loop(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> float:
+        """Loop flux of one row, rejected where an orbit sample lies outside its domain.
 
-        epsilon is the |W| floor of the ln|W| weight and the sign floor of a
-        fractional-power Renyi weight.
+        epsilon is the |W| floor of a singular weight and the sign floor of a
+        fractional power.
         """
-        if name == "svn" and epsilon <= 0:
-            raise RejectionError(f"epsilon must be positive, got {epsilon}")
-        if name == "renyi" and (beta <= 0 or beta == 1.0):
-            raise RejectionError(f"beta must be positive and different from 1, got {beta}")
-        w_on = None if name == "sigma" else self.w_on
-        if name == "svn":
+        q.check(epsilon)
+        if q.scale_sensitive:
             total = self.w.total()
             if abs(total - 1.0) > CAPTURE_LIMIT:
                 warnings.warn(
-                    f"svn_flux on an unnormalized field (integral {total:.6g}): "
+                    f"{q.name}_flux on an unnormalized field (integral {total:.6g}): "
                     "the ln W weight is scale-sensitive", RuntimeWarning, stacklevel=3,
                 )
-            small = np.abs(w_on) <= epsilon
-            if np.any(small):
-                i = int(np.argmax(small))
-                raise RejectionError(
-                    f"|W|={abs(w_on[i]):.3e} <= epsilon at orbit sample {i} "
-                    f"(x={self.orbit.x[i]:.6g}, k={self.orbit.k[i]:.6g})"
-                )
-        elif name == "renyi" and not float(beta - 1.0).is_integer():
-            negative = int(np.count_nonzero((w_on < 0.0) & (np.abs(w_on) > epsilon)))
-            if negative:
-                raise RejectionError(f"W**(beta-1) undefined for beta={beta}: {negative} negative orbit samples")
-            w_on = np.abs(w_on)
-        sign, weight = LOOP_WEIGHTS[name]
-        return sign * _loop_sum(weight(w_on, beta), self.dj_on, self.orbit)
+        w_on = self.w_on
+        negative, small = q.outside(w_on, epsilon)
+        if np.any(negative):
+            raise RejectionError(
+                f"W**(beta-1) undefined for beta={q.beta}: {int(np.count_nonzero(negative))} negative orbit samples"
+            )
+        if np.any(small):
+            i = int(np.argmax(small))
+            raise RejectionError(
+                f"|W|={abs(w_on[i]):.3e} <= epsilon at orbit sample {i} "
+                f"(x={self.orbit.x[i]:.6g}, k={self.orbit.k[i]:.6g})"
+            )
+        sign, weight = q.loop
+        return sign * _loop_sum(weight(w_on), self.dj_on, self.orbit)
 
-    def volume(
-        self, weight: str | float, mask: np.ndarray | None = None, window: Window | None = None
-    ) -> VolumeTermResult:
-        """Volume correction int weight * div(w) dV over a node mask (see volume_term).
+    def volume(self, q: Quantity, mask: np.ndarray | None = None, window: Window | None = None) -> VolumeTermResult:
+        """Unsigned volume correction int p(W) div(w) dV of one row over a node mask (see volume_term).
 
         Evaluated on the mask's node window: window if given (it must hold
         every true node of mask), else the bounding box of mask, or the
@@ -297,80 +352,68 @@ class Snapshot:
         if window is None:
             window = node_window(self.w.grid.shape, mask)
         dv = self.div(window)
-        integrand = _volume_weight(self.w.values, weight, window) * dv.values
+        if q.fractional:
+            # whether W**beta is defined is decided on the whole grid
+            require_power_domain(self.w.values, q.beta)
+        _, p = q.volume
+        integrand = p(self.w.values[window]) * dv.values
         keep = dv.valid if mask is None else (dv.valid & mask[window])
         n_region = self.w.values.size if mask is None else int(np.count_nonzero(mask))
         masked = n_region - int(np.count_nonzero(keep))
         return VolumeTermResult(integrate_volume(self.w.grid, integrand, mask=keep, window=window), masked)
 
-    def quantity(self, name: str, beta: float | None = None, floor: float = ENTROPY_FLOOR) -> float:
-        """Region-restricted sigma / S_vN / purity / Renyi power integral."""
-        integral = self.region.fine_integral
-        if name == "sigma":
-            return integral(self.fine_w)
-        if name == "svn":
-            def neg_w_log(v):
-                keep = np.abs(v) > floor
-                out = np.zeros_like(v)
-                out[keep] = -v[keep] * np.log(np.abs(v[keep]))
-                return out
-            return integral(self.fine_w, neg_w_log)
-        if name == "purity":
-            return 2.0 * np.pi * integral(self.fine_w, np.square)
-        if name == "renyi":
-            if beta is None:
-                raise RejectionError("renyi quantity needs beta")
-            return integral(self.fine_w, lambda v: power_field(v, beta, floor))
-        raise RejectionError(f"unknown quantity {name!r}")
+    def quantity(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> float:
+        """Region quantity of one row: factor * int density(W) over the orbit interior."""
+        return q.factor * self.region.fine_integral(q.density(self.fine_w, floor))
 
-    def block(self, betas, epsilon_entropy: float = ENTROPY_FLOOR) -> dict:
-        """All loop fluxes, volume terms and balance forms (see instantaneous_block)."""
-        mask, window = self.region.mask, self.region.window
-        block: dict = {"tau": self.w.tau}
+    def block_entry(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> dict:
+        """One row's block entry: loop flux, volume term, balance form.
 
-        sig = self.loop("sigma")
-        block["sigma"] = {"loop": sig, "full": sig}
-
-        for name, weight, volume_sign in (("svn", "one", 1.0), ("purity", "w", -1.0)):
-            flux = self.loop(name, epsilon=epsilon_entropy)
-            vt = self.volume(weight, mask, window)
-            block[name] = {
-                "loop": flux,
-                "volume_term": vt.value,
-                "masked_nodes": vt.masked_in_region,
-                "full": flux + volume_sign * vt.value,
-            }
-
-        block["renyi"] = {}
-        for beta in betas:
+        A Renyi row is one member of a family whose fractional members are
+        undefined on negative W, so its rejections stay in its entry; it
+        also reports its region power integral and the rate loop / integral.
+        The rows without beta reject the snapshot instead.
+        """
+        per_entry = q.beta is not None
+        try:
+            flux = self.loop(q, epsilon)
+        except RejectionError as exc:
+            if not per_entry:
+                raise
+            return {"rejected": str(exc)}
+        entry = {"loop": flux}
+        if q.volume is None:
+            entry["full"] = flux
+        else:
             try:
-                flux = self.loop("renyi", beta, epsilon_entropy)
+                vt = self.volume(q, self.region.mask, self.region.window)
+                sign, _ = q.volume
+                entry.update(volume_term=vt.value, masked_nodes=vt.masked_in_region, full=flux + sign * vt.value)
             except RejectionError as exc:
-                block["renyi"][f"{beta:g}"] = {"rejected": str(exc)}
-                continue
-            entry = {"loop": flux}
-            # The volume correction and region power integral raise for
-            # non-integer beta whenever W dips negative somewhere on the grid or
-            # region; the loop value above stays valid, so degrade per piece.
-            try:
-                vt = self.volume(beta, mask, window)
-                entry.update(volume_term=vt.value, masked_nodes=vt.masked_in_region, full=flux - vt.value)
-            except RejectionError as exc:
+                if not per_entry:
+                    raise
                 entry["volume_term_rejected"] = str(exc)
+        if per_entry:
             try:
-                power_integral = self.quantity("renyi", beta, epsilon_entropy)
+                power_integral = self.quantity(q, epsilon)
                 entry["region_power_integral"] = power_integral
                 if power_integral > 0:
                     entry["rate"] = flux / power_integral
             except RejectionError as exc:
                 entry["rate_rejected"] = str(exc)
-            block["renyi"][f"{beta:g}"] = entry
+        return entry
+
+    def block(self, betas, epsilon_entropy: float = ENTROPY_FLOOR) -> dict:
+        """All loop fluxes, volume terms and balance forms (see instantaneous_block)."""
+        entries = [(q, self.block_entry(q, epsilon_entropy)) for q in quantities(betas)]
+        block: dict = {"tau": self.w.tau, **{q.name: e for q, e in entries if q.beta is None}}
+        block["renyi"] = {q.tag: e for q, e in entries if q.beta is not None}
         return block
 
 
 def sigma_flux(w: WignerField, orbit: ClassicalOrbit, potential: PotentialModel, nu_max: int = DEFAULT_NU_MAX) -> float:
     """Probability flux across the orbit: instantaneous rate of the enclosed probability."""
-    return Snapshot(w, orbit, potential, nu_max).loop("sigma")
+    return Snapshot(w, orbit, potential, nu_max).loop(SIGMA)
 
 
 def svn_flux(
@@ -385,14 +428,14 @@ def svn_flux(
     Rejects when the orbit touches nodes with |W| <= epsilon; a silently
     floored weight would bias the integral.
     """
-    return Snapshot(w, orbit, potential, nu_max).loop("svn", epsilon=epsilon)
+    return Snapshot(w, orbit, potential, nu_max).loop(SVN, epsilon)
 
 
 def purity_flux(
     w: WignerField, orbit: ClassicalOrbit, potential: PotentialModel, nu_max: int = DEFAULT_NU_MAX
 ) -> float:
     """W-weighted loop flux, the loop form of the purity rate (no 2 pi factor)."""
-    return Snapshot(w, orbit, potential, nu_max).loop("purity")
+    return Snapshot(w, orbit, potential, nu_max).loop(PURITY)
 
 
 def renyi_flux(
@@ -403,8 +446,12 @@ def renyi_flux(
     beta: float = 2.0,
     floor: float = ENTROPY_FLOOR,
 ) -> float:
-    """W**(beta-1)-weighted loop flux; beta follows the Renyi-entropy rules."""
-    return Snapshot(w, orbit, potential, nu_max).loop("renyi", beta, floor)
+    """W**(beta-1)-weighted loop flux; beta follows the Renyi-entropy rules.
+
+    A fractional beta rejects negative orbit samples above the floor, and
+    beta < 1, whose weight is singular at W = 0, also |W| <= floor.
+    """
+    return Snapshot(w, orbit, potential, nu_max).loop(renyi(beta), floor)
 
 
 def volume_term(
@@ -426,7 +473,8 @@ def volume_term(
     are checked for non-finite values; a non-integer beta is still rejected
     when W has negative nodes above the floor anywhere on the grid.
     """
-    return Snapshot(w, potential=potential, nu_max=nu_max, epsilon_mask=epsilon).volume(weight, region)
+    q = SVN if weight == "one" else PURITY if weight == "w" else renyi(float(weight))
+    return Snapshot(w, potential=potential, nu_max=nu_max, epsilon_mask=epsilon).volume(q, region)
 
 
 def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
@@ -464,98 +512,31 @@ def propagate_states(
     return out
 
 
-def _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region, states) -> list[Snapshot]:
-    """Snapshots of the state at the two oracle_times around tau.
+def oracle_rates(
+    states: dict, tau: float, region: OrbitRegion, betas, dtau_fd: float = 1e-3, floor: float = ENTROPY_FLOOR
+) -> dict:
+    """Independent instantaneous rate of every row's region quantity at tau, keyed by Quantity.key.
 
-    states maps times to propagated states (see propagate_states); None
-    propagates the two states by a sweep of their own.
+    Takes the states at oracle_times(tau, dtau_fd) from states, a map of
+    time to state produced by propagate_states, builds W at both on the
+    region's grid and central-differences each region quantity between
+    them (sigma, svn, purity as 2 pi int W^2, the Renyi power integrals).
+    A row whose quantity is undefined gets its RejectionError as value.
     """
+    if not (np.isfinite(dtau_fd) and dtau_fd > 0):
+        raise RejectionError(f"dtau_fd must be positive and finite, got {dtau_fd}")
     times = oracle_times(tau, dtau_fd)
-    if states is None:
-        states = propagate_states(evaluate_state(spec, cgrid, 0.0), potential, times, dtau_evolve)
     missing = [t for t in times if t not in states]
     if missing:
         raise RejectionError(f"no oracle state at tau={missing[0]!r}")
-    return [Snapshot(wigner_transform(states[t], pgrid), region=region) for t in times]
-
-
-def _central_difference(pair: list[Snapshot], name: str, beta, floor: float, dtau_fd: float) -> float:
-    q = [snap.quantity(name, beta, floor) for snap in pair]
-    return (q[1] - q[0]) / (2.0 * dtau_fd)
-
-
-def oracle_flux(
-    spec: StateSpec,
-    potential: PotentialModel,
-    orbit: ClassicalOrbit,
-    quantity: str,
-    dtau_fd: float = 1e-3,
-    *,
-    tau: float = 0.0,
-    beta: float | None = None,
-    pgrid: PhaseSpaceGrid,
-    cgrid: CoordinateGrid,
-    dtau_evolve: float = 2.5e-4,
-    region: OrbitRegion | None = None,
-    floor: float = ENTROPY_FLOOR,
-    states: dict | None = None,
-) -> float:
-    """Independent instantaneous rate of a region-restricted quantity.
-
-    Takes the states at tau - dtau_fd and tau + dtau_fd from states, a map
-    of time to state produced by propagate_states (for example one sweep
-    over the oracle times of every output time), or else propagates the two
-    from tau = 0 by a sweep of its own with steps of about dtau_evolve.  It
-    rebuilds W at both times and central-differences the orbit-interior
-    integral of the quantity (sigma, svn, purity as 2 pi int W^2, or the
-    Renyi power integral int W**beta).  This route never touches the
-    current series or its truncation order; that independence is what lets
-    it adjudicate the loop formulas.
-    """
-    if quantity not in QUANTITIES:
-        raise RejectionError(f"unknown quantity {quantity!r}")
-    if dtau_fd <= 0:
-        raise RejectionError(f"dtau_fd must be positive, got {dtau_fd}")
-    if region is None:
-        region = OrbitRegion(orbit, pgrid)
-    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region, states)
-    return _central_difference(pair, quantity, beta, floor, dtau_fd)
-
-
-def oracle_rates(
-    spec: StateSpec,
-    potential: PotentialModel,
-    orbit: ClassicalOrbit,
-    betas,
-    dtau_fd: float = 1e-3,
-    *,
-    tau: float = 0.0,
-    pgrid: PhaseSpaceGrid,
-    cgrid: CoordinateGrid,
-    dtau_evolve: float = 2.5e-4,
-    region: OrbitRegion | None = None,
-    floor: float = ENTROPY_FLOOR,
-    states: dict | None = None,
-) -> dict:
-    """All oracle rates at once from a single pair of evolved fields.
-
-    Same finite-difference route as oracle_flux, with the two states taken
-    from states or from one sweep of their own, sharing the two Wigner
-    builds and their refined-lattice samples across sigma, svn, purity and
-    every requested beta.
-    """
-    if region is None:
-        region = OrbitRegion(orbit, pgrid)
-    pair = _oracle_pair(spec, potential, tau, dtau_fd, pgrid, cgrid, dtau_evolve, region, states)
-
-    def diff(name: str, beta: float | None = None):
+    pair = [Snapshot(wigner_transform(states[t], region.grid), region=region) for t in times]
+    out = {}
+    for q in quantities(betas):
         try:
-            return _central_difference(pair, name, beta, floor, dtau_fd)
+            before, after = (snap.quantity(q, floor) for snap in pair)
+            out[q.key] = (after - before) / (2.0 * dtau_fd)
         except RejectionError as exc:
-            return exc
-
-    out = {name: diff(name) for name in ("sigma", "svn", "purity")}
-    out["renyi"] = {f"{b:g}": diff("renyi", b) for b in betas}
+            out[q.key] = exc
     return out
 
 
@@ -590,72 +571,51 @@ def instantaneous_block(
 
 
 def attach_oracles(
-    block: dict,
-    spec: StateSpec,
-    potential: PotentialModel,
-    orbit: ClassicalOrbit,
-    betas,
-    *,
-    pgrid: PhaseSpaceGrid,
-    cgrid: CoordinateGrid,
-    dtau_fd: float = 1e-3,
-    dtau_evolve: float = 2.5e-4,
-    region: OrbitRegion | None = None,
-    floor: float = ENTROPY_FLOOR,
-    states: dict | None = None,
+    block: dict, states: dict, region: OrbitRegion, betas, dtau_fd: float = 1e-3, floor: float = ENTROPY_FLOOR
 ) -> dict:
     """Add oracle rates and relative deviations to an instantaneous block.
 
-    states is passed on to oracle_rates (see propagate_states).
+    The rates come from oracle_rates(states, block["tau"], ...).  A row
+    with a factor (purity's 2 pi) compares its balance form with the rate
+    divided by it, and also reports that adjusted rate and the unadjusted
+    deviation.
     """
-    if region is None:
-        region = OrbitRegion(orbit, pgrid)
-    rates = oracle_rates(
-        spec, potential, orbit, betas, dtau_fd,
-        tau=block["tau"], pgrid=pgrid, cgrid=cgrid,
-        dtau_evolve=dtau_evolve, region=region, floor=floor, states=states,
-    )
-    for name in ("sigma", "svn"):
-        block[name]["oracle"] = rates[name]
-        block[name]["rel_dev"] = _rel_dev(block[name]["full"], rates[name])
-    o_pur = rates["purity"]
-    block["purity"]["oracle"] = o_pur
-    block["purity"]["oracle_2pi_adjusted"] = o_pur / (2.0 * np.pi)
-    block["purity"]["rel_dev"] = _rel_dev(block["purity"]["full"], o_pur / (2.0 * np.pi))
-    block["purity"]["rel_dev_unadjusted"] = _rel_dev(block["purity"]["full"], o_pur)
-
-    for beta in betas:
-        entry = block["renyi"][f"{beta:g}"]
+    rates = oracle_rates(states, block["tau"], region, betas, dtau_fd, floor)
+    for q in quantities(betas):
+        entry, rate = q.entry(block), rates[q.key]
         if "rejected" in entry:
             continue
-        o_b = rates["renyi"][f"{beta:g}"]
-        if isinstance(o_b, RejectionError):
-            entry["oracle_rejected"] = str(o_b)
+        if isinstance(rate, RejectionError):
+            entry["oracle_rejected"] = str(rate)
             continue
-        entry["oracle"] = o_b
+        entry["oracle"] = rate
+        adjusted = rate / q.factor
+        if q.factor != 1.0:
+            entry["oracle_2pi_adjusted"] = adjusted
         if "full" in entry:
-            entry["rel_dev"] = _rel_dev(entry["full"], o_b)
+            entry["rel_dev"] = _rel_dev(entry["full"], adjusted)
+            if q.factor != 1.0:
+                entry["rel_dev_unadjusted"] = _rel_dev(entry["full"], rate)
     return block
 
 
-def _diagonal_sample(name: str, beta, w_pt: float, dj_pt: float, vx_pt: float, epsilon: float) -> float:
-    """Loop integrand of one quantity at one orbit point; NaN where its weight is undefined."""
-    if name == "svn" and not abs(w_pt) > epsilon:
+def _diagonal_sample(q: Quantity, w_pt: float, dj_pt: float, vx_pt: float, epsilon: float) -> float:
+    """Loop integrand of one row at one orbit point; NaN outside its domain."""
+    negative, small = q.outside(w_pt, epsilon)
+    if negative or small:
         return np.nan
-    if name == "renyi" and not (float(beta - 1).is_integer() or w_pt > 0):
-        return np.nan
-    sign, weight = LOOP_WEIGHTS[name]
-    return sign * weight(w_pt, beta) * dj_pt * vx_pt
+    sign, weight = q.loop
+    return sign * weight(w_pt) * dj_pt * vx_pt
 
 
-def _region_quantities(snap: Snapshot, betas, floor: float) -> dict:
-    """Region integral of every quantity; None where a Renyi power is undefined."""
-    out = {name: snap.quantity(name, floor=floor) for name in ("sigma", "svn", "purity")}
-    for b in betas:
+def _region_quantities(snap: Snapshot, rows, floor: float) -> dict:
+    """Region quantity of every row; None where it is undefined."""
+    out = {}
+    for q in rows:
         try:
-            out[f"renyi_{b:g}"] = snap.quantity("renyi", b, floor)
+            out[q.key] = snap.quantity(q, floor)
         except RejectionError:
-            out[f"renyi_{b:g}"] = None
+            out[q.key] = None
     return out
 
 
@@ -683,8 +643,9 @@ def period_accumulation(
                       at each quadrature node (diagonal sampling),
       balance         trapezoidal time integral over [0, T] of the
                       instantaneous balance forms (loop + volume term),
-      direct_change   Q(T) - Q(0) of the region-restricted quantity, the
-                      independent reference for `balance`.
+      direct_change   Q(T) - Q(0) of the region-restricted quantity, divided
+                      by the row's factor: the independent reference for
+                      `balance`.
 
     Once nodal lines of W enter the region, the svn volume integrand
     W div(w) grows like 1/W near them and its node quadrature loses
@@ -695,13 +656,13 @@ def period_accumulation(
         region = OrbitRegion(orbit, pgrid)
     T = orbit.period
     taus = np.linspace(0.0, T, n_nodes + 1)
-    names = [(q, None, q) for q in ("sigma", "svn", "purity")] + [("renyi", b, f"renyi_{b:g}") for b in betas]
+    rows = quantities(betas)
 
-    inst = {key: [] for _, _, key in names}
-    diag = {key: [] for _, _, key in names}
+    inst = {q.key: [] for q in rows}
+    diag = {q.key: [] for q in rows}
     frozen: dict[str, float] = {}
     rejected: dict[str, str] = {}
-    q: dict[int, dict] = {}  # region quantities at the first and last node
+    ends: dict[int, dict] = {}  # region quantities at the first and last node
 
     phis = propagate_states(evaluate_state(spec, cgrid, 0.0), potential, taus, dtau_evolve)
     for j, tau_j in enumerate(taus):
@@ -711,29 +672,28 @@ def period_accumulation(
         i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
         w_pt, dj_pt, vx_pt = float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]
 
-        for name, beta, key in names:
-            entry = blk[name] if beta is None else blk["renyi"][f"{beta:g}"]
+        for q in rows:
+            entry = q.entry(blk)
             if j == 0:
-                frozen[key] = entry.get("loop", float("nan"))
+                frozen[q.key] = entry.get("loop", float("nan"))
             if "full" in entry:
-                inst[key].append(entry["full"])
+                inst[q.key].append(entry["full"])
             else:
-                rejected.setdefault(key, entry.get("rejected", entry.get("volume_term_rejected", "")))
-                inst[key].append(np.nan)
-            diag[key].append(_diagonal_sample(name, beta, w_pt, dj_pt, vx_pt, epsilon_entropy))
+                rejected.setdefault(q.key, entry.get("rejected", entry.get("volume_term_rejected", "")))
+                inst[q.key].append(np.nan)
+            diag[q.key].append(_diagonal_sample(q, w_pt, dj_pt, vx_pt, epsilon_entropy))
         if j in (0, n_nodes):
-            q[j] = _region_quantities(snap, betas, epsilon_entropy)
+            ends[j] = _region_quantities(snap, rows, epsilon_entropy)
 
     out: dict = {"period": T, "n_nodes": n_nodes}
-    q_start, q_end = q[0], q[n_nodes]
-    for _, _, key in names:
+    start, end = ends[0], ends[n_nodes]
+    for q in rows:
+        key = q.key
         balance = float(np.trapezoid(np.asarray(inst[key]), taus))
         time_consistent = float(np.trapezoid(np.asarray(diag[key]), taus))
         direct = None
-        if q_start[key] is not None and q_end[key] is not None:
-            direct = q_end[key] - q_start[key]
-            if key == "purity":
-                direct = direct / (2.0 * np.pi)
+        if start[key] is not None and end[key] is not None:
+            direct = (end[key] - start[key]) / q.factor
         entry = {"frozen": frozen[key], "time_consistent": time_consistent, "balance": balance, "direct_change": direct}
         if direct is not None and np.isfinite(balance):
             entry["rel_dev"] = _rel_dev(balance, direct)

@@ -20,6 +20,8 @@ from .states import WignerField
 
 #: Default magnitude floor below which nodes drop out of entropy quadratures.
 ENTROPY_FLOOR = 1e-30
+#: Weyl normalisation of the purity, PURITY_FACTOR * int W^2.
+PURITY_FACTOR = 2.0 * np.pi
 
 
 @dataclass
@@ -67,19 +69,34 @@ def expectation(w: WignerField, symbol: WeylSymbol) -> float:
 
 
 def purity(w: WignerField) -> float:
-    """2*pi * integral of W^2; equals 1 for pure states."""
-    return 2.0 * np.pi * integrate_volume(w.grid, w.values**2)
+    """PURITY_FACTOR * integral of W^2; equals 1 for pure states."""
+    return PURITY_FACTOR * integrate_volume(w.grid, np.square(w.values))
+
+
+def entropy_density(values: np.ndarray, floor: float = ENTROPY_FLOOR) -> np.ndarray:
+    """-W ln|W| on nodes with |W| > floor, zero elsewhere."""
+    keep = np.abs(values) > floor
+    out = np.zeros_like(values)
+    out[keep] = -values[keep] * np.log(np.abs(values[keep]))
+    return out
 
 
 def von_neumann_entropy(w: WignerField, epsilon: float = ENTROPY_FLOOR) -> float:
     """-integral of W ln|W| over nodes with |W| > epsilon."""
     if epsilon <= 0:
         raise RejectionError(f"epsilon must be positive, got {epsilon}")
-    vals = w.values
-    keep = np.abs(vals) > epsilon
-    integrand = np.zeros_like(vals)
-    integrand[keep] = vals[keep] * np.log(np.abs(vals[keep]))
-    return -integrate_volume(w.grid, integrand)
+    return integrate_volume(w.grid, entropy_density(w.values, epsilon))
+
+
+def require_beta(beta: float) -> None:
+    """Reject a Renyi order that is not positive or equals 1."""
+    if beta <= 0 or beta == 1.0:
+        raise RejectionError(f"beta must be positive and different from 1, got {beta}")
+
+
+def negative_nodes(values: np.ndarray, floor: float = ENTROPY_FLOOR) -> np.ndarray:
+    """Nodes where W < 0 with |W| > floor: where a non-integer power of W is undefined."""
+    return (values < 0.0) & (np.abs(values) > floor)
 
 
 def require_power_domain(values: np.ndarray, beta: float, floor: float = ENTROPY_FLOOR) -> None:
@@ -88,10 +105,9 @@ def require_power_domain(values: np.ndarray, beta: float, floor: float = ENTROPY
     beta must be positive and different from 1; a non-integer beta also
     needs every node above the floor to be non-negative.
     """
-    if beta <= 0 or beta == 1.0:
-        raise RejectionError(f"beta must be positive and different from 1, got {beta}")
+    require_beta(beta)
     if not float(beta).is_integer():
-        negative = int(np.count_nonzero((np.abs(values) > floor) & (values < 0.0)))
+        negative = int(np.count_nonzero(negative_nodes(values, floor)))
         if negative:
             raise RejectionError(
                 f"W**beta undefined for non-integer beta={beta}: {negative} negative nodes above floor"

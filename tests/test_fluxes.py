@@ -1,5 +1,6 @@
 """Loop fluxes, volume corrections, and the finite-difference oracle."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,16 +10,19 @@ from wignerflow import fluxes
 from wignerflow.classical import solve_orbit
 from wignerflow.errors import RejectionError
 from wignerflow.fluxes import (
+    SIGMA,
     OrbitRegion,
+    Snapshot,
+    attach_oracles,
     instantaneous_block,
-    interpolate_on_orbit,
     oracle_rates,
-    oracle_flux,
     oracle_times,
     orbit_interior_mask,
     period_accumulation,
     propagate_states,
     purity_flux,
+    quantities,
+    renyi,
     renyi_flux,
     sigma_flux,
     svn_flux,
@@ -56,6 +60,17 @@ def whole_grid_volume(w, pot, mask, weight):
     )
 
 
+def on_orbit(grid, values, orbit):
+    """Bicubic samples of a grid field at the orbit points."""
+    return Snapshot(WignerField(values, grid), orbit).w_on
+
+
+def oracle(spec, pot, region, cgrid, betas=(), dtau_fd=1e-3, tau=0.0, dtau_evolve=1e-4):
+    """oracle_rates from a sweep of its own over the two oracle times of tau."""
+    states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, oracle_times(tau, dtau_fd), dtau_evolve)
+    return oracle_rates(states, tau, region, betas, dtau_fd)
+
+
 def edge_masks(grid):
     """Node masks reaching the low edges, the high edges, one edge, and all four."""
     masks = {name: np.zeros(grid.shape, dtype=bool) for name in ("low", "high", "strip", "all")}
@@ -70,22 +85,22 @@ def edge_masks(grid):
 class TestInterpolateOnOrbit:
     def test_smooth_polynomial(self, pgrid, harmonic_orbit):
         X, K = pgrid.meshes()
-        vals = interpolate_on_orbit(pgrid, X**2 + K**2, harmonic_orbit)
+        vals = on_orbit(pgrid, X**2 + K**2, harmonic_orbit)
         np.testing.assert_allclose(vals, 4.0, atol=1e-6)
 
     def test_constant_field_exact(self, pgrid, harmonic_orbit):
-        vals = interpolate_on_orbit(pgrid, np.full(pgrid.shape, 0.75), harmonic_orbit)
+        vals = on_orbit(pgrid, np.full(pgrid.shape, 0.75), harmonic_orbit)
         np.testing.assert_allclose(vals, 0.75, atol=1e-13)
 
     def test_gaussian_closed_form(self, pgrid, harmonic_orbit):
         X, K = pgrid.meshes()
-        vals = interpolate_on_orbit(pgrid, np.exp(-(X**2) - K**2) / np.pi, harmonic_orbit)
+        vals = on_orbit(pgrid, np.exp(-(X**2) - K**2) / np.pi, harmonic_orbit)
         np.testing.assert_allclose(vals, np.exp(-4.0) / np.pi, atol=1e-7)
 
     def test_orbit_outside_safe_interior_rejected(self, harmonic_orbit):
         tight = PhaseSpaceGrid.centered(2.1, 2.1, 32, 32)
         with pytest.raises(RejectionError, match="safe grid interior"):
-            interpolate_on_orbit(tight, np.ones(tight.shape), harmonic_orbit)
+            on_orbit(tight, np.ones(tight.shape), harmonic_orbit)
 
 
 class TestInteriorMask:
@@ -100,7 +115,7 @@ class TestInteriorMask:
 
         ref = 2 * quad(lambda x: np.sqrt(2 * (0.25 - x**4 / 4)), -1, 1)[0]
         region = OrbitRegion(quartic_orbit, pgrid)
-        area = region.integral(np.ones(pgrid.shape))
+        area = Snapshot(WignerField(np.ones(pgrid.shape), pgrid), region=region).quantity(SIGMA)
         assert area == pytest.approx(ref, rel=1e-4)
 
 
@@ -178,6 +193,35 @@ class TestLoopFluxAlgebra:
     def test_renyi_invalid_beta_rejected(self, ground_w, harmonic_orbit):
         with pytest.raises(RejectionError):
             renyi_flux(ground_w, harmonic_orbit, harmonic(), 2, 1.0)
+
+    def test_renyi_below_one_rejects_zero_w_like_svn(self, pgrid, quartic_orbit):
+        # |W|**(beta-1) is singular at W = 0 for beta < 1, as ln|W| is
+        zero = WignerField(np.zeros(pgrid.shape), pgrid)
+        with pytest.warns(RuntimeWarning, match="unnormalized"), pytest.raises(RejectionError) as svn:
+            svn_flux(zero, quartic_orbit, pure_quartic(), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RejectionError) as ren:
+                renyi_flux(zero, quartic_orbit, pure_quartic(), 2, 0.5)
+        assert str(ren.value) == str(svn.value)
+        assert str(ren.value).startswith("|W|=0.000e+00 <= epsilon at orbit sample 0")
+
+    @pytest.mark.parametrize("level", [0.0, 1e-31, -1e-31, 1e-3, -1e-3])
+    def test_per_point_form_reads_the_loop_domain(self, level, pgrid, quartic_orbit):
+        # On a constant field every orbit sample is W = level: the loop
+        # rejects exactly where the per-point form is NaN.
+        w = WignerField(np.full(pgrid.shape, level), pgrid)
+        snap = Snapshot(w, quartic_orbit, pure_quartic())
+        for q in quantities((0.5, 2.0, 2.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    snap.loop(q)
+                    rejected = False
+                except RejectionError:
+                    rejected = True
+            sample = fluxes._diagonal_sample(q, float(snap.w_on[0]), 1.0, 1.0, 1e-30)
+            assert np.isnan(sample) == rejected, (q.key, level)
 
 
 class TestVolumeTerm:
@@ -287,25 +331,14 @@ class TestOracle:
         from wignerflow.states import harmonic_eigenstate
 
         region = OrbitRegion(harmonic_orbit, pgrid)
-        for quantity in ("sigma", "svn", "purity"):
-            rate = oracle_flux(
-                harmonic_eigenstate(1), harmonic(), harmonic_orbit, quantity,
-                1e-3, pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-4, region=region,
-            )
-            assert abs(rate) < 1e-8
-        rate = oracle_flux(
-            harmonic_eigenstate(1), harmonic(), harmonic_orbit, "renyi", 1e-3,
-            beta=2.0, pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-4, region=region,
-        )
-        assert abs(rate) < 1e-8
+        rates = oracle(harmonic_eigenstate(1), harmonic(), region, cgrid, (2.0,))
+        for key in ("sigma", "svn", "purity", "renyi_2"):
+            assert abs(rates[key]) < 1e-8
 
     def test_central_difference_is_second_order(self, pgrid, cgrid, quartic_orbit):
         region = OrbitRegion(quartic_orbit, pgrid)
         rates = [
-            oracle_flux(
-                coherent(1.0, 0.5), pure_quartic(), quartic_orbit, "sigma", dt,
-                pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-4, region=region,
-            )
+            oracle(coherent(1.0, 0.5), pure_quartic(), region, cgrid, dtau_fd=dt)["sigma"]
             for dt in (8e-3, 4e-3, 2e-3)
         ]
         ratio = (rates[0] - rates[1]) / (rates[1] - rates[2])
@@ -316,10 +349,7 @@ class TestOracle:
         pot = pure_quartic()
         region = OrbitRegion(quartic_orbit, pgrid)
         loop = sigma_flux(offset_gaussian_w, quartic_orbit, pot, 2)
-        rate = oracle_flux(
-            coherent(1.0, 0.5), pot, quartic_orbit, "sigma", 1e-3,
-            pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-4, region=region,
-        )
+        rate = oracle(coherent(1.0, 0.5), pot, region, cgrid)["sigma"]
         assert loop == pytest.approx(rate, rel=5e-2)
 
     def test_svn_balance_against_oracle(self, pgrid, cgrid, quartic_orbit, offset_gaussian_w):
@@ -327,24 +357,33 @@ class TestOracle:
         region = OrbitRegion(quartic_orbit, pgrid)
         loop = svn_flux(offset_gaussian_w, quartic_orbit, pot, 2)
         vol = volume_term(offset_gaussian_w, pot, 2, None, region.mask, "one").value
-        rate = oracle_flux(
-            coherent(1.0, 0.5), pot, quartic_orbit, "svn", 1e-3,
-            pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-4, region=region,
-        )
+        rate = oracle(coherent(1.0, 0.5), pot, region, cgrid)["svn"]
         assert loop + vol == pytest.approx(rate, rel=5e-2)
 
-    def test_unknown_quantity_rejected(self, pgrid, cgrid, harmonic_orbit):
-        with pytest.raises(RejectionError, match="unknown quantity"):
-            oracle_flux(
-                coherent(1.0, 0.0), harmonic(), harmonic_orbit, "entanglement",
-                pgrid=pgrid, cgrid=cgrid,
-            )
+    def test_attached_purity_balance_meets_the_rate_over_2pi(self, pgrid, cgrid, quartic_orbit, offset_gaussian_w):
+        # the oracle differentiates 2 pi int W^2, the balance form int W^2
+        pot = pure_quartic()
+        region = OrbitRegion(quartic_orbit, pgrid)
+        states = propagate_states(evaluate_state(coherent(1.0, 0.5), cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 1e-4)
+        blk = instantaneous_block(offset_gaussian_w, quartic_orbit, pot, 2, (2.0,), region=region)
+        attach_oracles(blk, states, region, (2.0,))
+        purity = blk["purity"]
+        assert purity["oracle_2pi_adjusted"] == purity["oracle"] / (2 * np.pi)
+        assert purity["rel_dev"] < 5e-2
+        assert blk["renyi"]["2"]["oracle"] == pytest.approx(purity["oracle_2pi_adjusted"], rel=1e-12)
+        assert "oracle_2pi_adjusted" not in blk["sigma"] and "oracle_2pi_adjusted" not in blk["svn"]
+
+    @pytest.mark.parametrize("dtau_fd", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_dtau_fd_rejected(self, dtau_fd, pgrid, cgrid, quartic_orbit):
+        # dtau_fd = 0 used to divide by zero, and -1e-3 returned the +1e-3 rate
+        spec, pot = coherent(1.0, 0.5), pure_quartic()
+        states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, [0.5, *oracle_times(0.5, 1e-3)], 5e-4)
+        with pytest.raises(RejectionError, match="dtau_fd must be positive"):
+            oracle_rates(states, 0.5, OrbitRegion(quartic_orbit, pgrid), BETAS, dtau_fd)
 
 
 class TestPeriodAccumulation:
     def test_quartic_balance_matches_direct_change(self, pgrid, cgrid, quartic_orbit):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             acc = period_accumulation(
@@ -395,7 +434,7 @@ class TestSnapshotEvaluation:
             except RejectionError as exc:
                 expected["volume_term_rejected"] = str(exc)
             try:
-                power = region.quantity(w, "renyi", beta=beta)
+                power = Snapshot(w, region=region).quantity(renyi(beta))
                 expected["region_power_integral"] = power
                 if power > 0:
                     expected["rate"] = loop / power
@@ -446,18 +485,13 @@ class TestSnapshotEvaluation:
 
     def test_oracle_rates_sample_each_field_once(self, monkeypatch, pgrid, cgrid, quartic_orbit):
         region = OrbitRegion(quartic_orbit, pgrid)
+        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
+        states = propagate_states(phi0, pure_quartic(), oracle_times(0.0, 1e-3), 1e-3)
         counts = self._count_work(monkeypatch)
-        rates = oracle_rates(
-            coherent(1.0, 0.5), pure_quartic(), quartic_orbit, BETAS,
-            pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-3, region=region,
-        )
+        oracle_rates(states, 0.0, region, BETAS)
         assert counts["wigner_transform"] == 2
         assert counts["fits"] == 2
         assert counts["wigner_current"] == 0
-        assert rates["sigma"] == oracle_flux(
-            coherent(1.0, 0.5), pure_quartic(), quartic_orbit, "sigma",
-            pgrid=pgrid, cgrid=cgrid, dtau_evolve=1e-3, region=region,
-        )
 
 
 class TestPropagateStates:
@@ -489,21 +523,18 @@ class TestPropagateStates:
     def test_sweep_states_reproduce_the_stand_alone_oracle(self, pgrid, cgrid, quartic_orbit):
         spec, pot = coherent(1.0, 0.5), pure_quartic()
         region = OrbitRegion(quartic_orbit, pgrid)
-        kw = dict(tau=0.5, pgrid=pgrid, cgrid=cgrid, dtau_evolve=5e-4, region=region)
         times = [t for tau in (0.0, 0.25, 0.5) for t in oracle_times(tau, 1e-3)]
         states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, times, 5e-4)
-        swept = oracle_rates(spec, pot, quartic_orbit, BETAS, states=states, **kw)
-        alone = oracle_rates(spec, pot, quartic_orbit, BETAS, **kw)
-        for name in ("sigma", "svn", "purity"):
-            assert swept[name] == pytest.approx(alone[name], rel=1e-10, abs=0)
-        for beta in ("2", "3"):
-            assert swept["renyi"][beta] == pytest.approx(alone["renyi"][beta], rel=1e-10, abs=0)
+        swept = oracle_rates(states, 0.5, region, BETAS)
+        alone = oracle(spec, pot, region, cgrid, BETAS, tau=0.5, dtau_evolve=5e-4)
+        for key in ("sigma", "svn", "purity", "renyi_2", "renyi_3"):
+            assert swept[key] == pytest.approx(alone[key], rel=1e-10, abs=0)
 
     def test_missing_oracle_state_is_rejected(self, pgrid, cgrid, quartic_orbit):
         spec, pot = coherent(1.0, 0.5), pure_quartic()
         states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 5e-4)
         with pytest.raises(RejectionError, match="no oracle state"):
-            oracle_flux(spec, pot, quartic_orbit, "sigma", pgrid=pgrid, cgrid=cgrid, tau=0.5, states=states)
+            oracle_rates(states, 0.5, OrbitRegion(quartic_orbit, pgrid), ())
 
     def test_non_positive_step_rejected(self, cgrid):
         phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
