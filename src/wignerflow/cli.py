@@ -210,11 +210,16 @@ def _parse(raw: dict) -> RunConfig:
             raise ConfigError(f"epsilon_mask must be positive, got {epsilon_mask}")
 
     betas = tuple(_finite(b, "beta_list[]") for b in _list(raw.get("beta_list", (0.5, 2.0, 3.0)), "beta_list"))
+    tagged = {}
     for b in betas:
         if b == 1.0:
             raise ConfigError("beta must differ from 1")
         if b <= 0:
             raise ConfigError(f"beta must be positive, got {b}")
+        tag = fx.renyi(b).tag
+        if tag in tagged:
+            raise ConfigError(f"beta_list values {tagged[tag]!r} and {b!r} share the report tag {tag!r}")
+        tagged[tag] = b
 
     osec = _section(raw, "orbit", _ORBIT_KEYS, required=True)
     x0 = _number(osec, "x0", "orbit")
@@ -376,15 +381,9 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
         phi0 = evaluate_state(config.state, config.coordinate_grid, 0.0)
     with _stage("states.evolve_wavefunction"):
         phis = fx.propagate_states(phi0, config.potential, config.output_times, config.dtau)
-    # The oracle keeps its own trajectory at its own finer step, independent
-    # of the one above: one sweep reaches every tau -/+ dtau_fd of the run.
+    # The oracle's states at tau -/+ dtau_fd branch off the state at tau
+    # whose fluxes they check, at a step no coarser than dtau_fd / 2.
     dtau_oracle = min(config.dtau, config.dtau_fd / 2)
-    with _stage("fluxes.oracle"):
-        oracle_phis = fx.propagate_states(
-            phi0, config.potential,
-            [t for tau in config.output_times for t in fx.oracle_times(tau, config.dtau_fd)],
-            dtau_oracle,
-        )
 
     for t in config.output_times:
         with _stage("states.wigner_transform"):
@@ -395,6 +394,9 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
                 config.epsilon_entropy, config.epsilon_mask, region,
             )
         with _stage("fluxes.oracle"):
+            oracle_phis = fx.propagate_states(
+                phis[t], config.potential, fx.oracle_times(t, config.dtau_fd), dtau_oracle
+            )
             fx.attach_oracles(blk, oracle_phis, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
         blocks.append(blk)
         say(f"tau={t:g}: sigma={blk['sigma']['loop']:.3e} (dev {blk['sigma']['rel_dev']:.2%})")

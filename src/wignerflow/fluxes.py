@@ -36,11 +36,13 @@ computes once per orbit): div(w), the W**p weight, the integrand and its
 quadrature never touch a node outside it.
 
 The oracle, oracle_rates, cross-checks every row at once by central
-finite differences of its region quantity between two states taken from
-propagate_states, which reaches every oracle time of a run in one sweep
-of the spectral propagator.  It never touches the current series or its
-truncation order; that independence is what lets it adjudicate the loop
-formulas.
+finite differences of its region quantity between the states at
+tau -/+ dtau_fd.  propagate_states branches them off the state at tau
+itself, the one whose loop fluxes are checked, with a few steps of the
+spectral propagator each way, so the difference measures the flux
+formulas and not the main run's time-step error.  The oracle never
+touches the current series or its truncation order; that independence
+is what lets it adjudicate the loop formulas.
 """
 
 from __future__ import annotations
@@ -489,20 +491,20 @@ def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
 def propagate_states(
     phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float
 ) -> dict[float, Wavefunction]:
-    """The state at each requested time, from one split-step sweep out of phi0 at tau = 0.
+    """The state at each requested absolute time, from one split-step sweep out of phi0 at phi0.tau.
 
-    Times >= 0 are reached in ascending order from the running state and
-    negative times in descending order from phi0, each leg in
+    Times >= phi0.tau are reached in ascending order from the running
+    state and earlier times in descending order from phi0, each leg in
     max(1, round(|leg| / dtau_evolve)) equal steps, so the step count is
     linear in the span of the times.  Each state is tagged with its
     requested time, which is also its key.
     """
     if not dtau_evolve > 0:
         raise RejectionError(f"dtau_evolve must be positive, got {dtau_evolve}")
-    times = set(times)
+    times, start = set(times), phi0.tau
     out = {}
-    for leg_times in (sorted(t for t in times if t >= 0), sorted((t for t in times if t < 0), reverse=True)):
-        phi, prev = phi0, 0.0
+    for leg_times in (sorted(t for t in times if t >= start), sorted((t for t in times if t < start), reverse=True)):
+        phi, prev = phi0, start
         for t in leg_times:
             if t != prev:
                 n_steps = max(1, int(round(abs(t - prev) / dtau_evolve)))

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wignerflow
@@ -35,6 +36,8 @@ MALFORMED = {
     "grid section not an object": {"grid": "abc"},
     "nu_max beyond the derivative order": {"nu_max": 40},
     "NaN beta": {"beta_list": [float("nan")]},
+    "two betas with one tag": {"beta_list": [2.0000001, 2.0000002]},
+    "repeated beta": {"beta_list": [2, 2]},
     "unhashable potential kind": {"potential": {"kind": ["pure_quartic"]}},
 }
 
@@ -114,10 +117,9 @@ def test_small_run_writes_strict_json_and_one_row_per_time(tmp_path):
     assert [float(row[0]) for row in rows[1:]] == SMALL["output_times"]
 
 
-def test_oracle_states_come_from_one_sweep(tmp_path, monkeypatch):
-    # 500 main-loop steps and 1,004 oracle steps (0.501 forward and 0.001
-    # backward at dtau_fd / 2); re-propagating each oracle state from
-    # tau = 0 would take 3,004
+def test_oracle_states_branch_off_each_output_time(tmp_path, monkeypatch):
+    # 500 main-loop steps and 2 + 2 oracle steps (dtau_fd at dtau_fd / 2
+    # each way) from each of the 3 output times: 500 + 3 * 4 = 512
     steps = []
     for module in (m for m in (cli, fluxes) if hasattr(m, "evolve_wavefunction")):
         def counted(phi, potential, dtau, n, _evolve=module.evolve_wavefunction):
@@ -129,7 +131,65 @@ def test_oracle_states_come_from_one_sweep(tmp_path, monkeypatch):
         warnings.simplefilter("always")
         cli.run(config, tmp_path / "out")
     assert not [w for w in caught if "unnormalized" in str(w.message)]
-    assert sum(steps) <= 1600
+    assert sum(steps) == 512
+
+
+def run_recording_states(tmp_path, monkeypatch, dtau):
+    """cli.run of SMALL at [0, 0.5]: its config, report, propagate_states calls and oracle regions."""
+    sweeps, regions = [], []
+
+    def recorded(phi0, potential, times, dtau_evolve, _propagate=fluxes.propagate_states):
+        states = _propagate(phi0, potential, times, dtau_evolve)
+        sweeps.append((phi0, states))
+        return states
+
+    def attach(block, states, region, *args, _attach=fluxes.attach_oracles):
+        regions.append(region)
+        return _attach(block, states, region, *args)
+
+    monkeypatch.setattr(fluxes, "propagate_states", recorded)
+    monkeypatch.setattr(fluxes, "attach_oracles", attach)
+    config = parse_config({**SMALL, "output_times": [0.0, 0.5], "dtau": dtau})
+    out = cli.run(config, tmp_path / f"out-{dtau:g}")
+    monkeypatch.undo()
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    return config, report, sweeps, regions
+
+
+def test_oracle_differentiates_the_state_whose_flux_it_checks(tmp_path, monkeypatch):
+    runs = {dtau: run_recording_states(tmp_path, monkeypatch, dtau) for dtau in (1e-3, 2.5e-2)}
+    # The oracle differentiates the loop's own state, so the main run's
+    # time-step error stays out of rel_dev: 25 times the step moves sigma's
+    # rel_dev at tau = 0.5 by well under 2 %.
+    fine, coarse = (runs[dtau][1]["times"][1]["sigma"]["rel_dev"] for dtau in (1e-3, 2.5e-2))
+    assert abs(coarse - fine) <= 0.02 * fine
+
+    for config, report, sweeps, regions in runs.values():
+        (phi0, phis), *branches = sweeps
+        assert len(branches) == len(config.output_times)
+        for t, (base, states) in zip(config.output_times, branches):
+            assert base is phis[t]
+            for s in fluxes.oracle_times(t, config.dtau_fd):
+                # two steps of (s - t) / 2, which is +-dtau_fd / 2 up to the
+                # rounding of t +- dtau_fd
+                assert (s - t) / 2 == pytest.approx(np.sign(s - t) * config.dtau_fd / 2, rel=1e-12)
+                expected = fluxes.evolve_wavefunction(phis[t], config.potential, (s - t) / 2, 2)
+                assert np.array_equal(states[s].values, expected.values)
+                assert states[s].tau == s
+
+        # At tau = 0 the branches are the first legs of a single sweep from
+        # tau = 0 over every oracle time of the run, so the oracle values
+        # are that sweep's.
+        old_sweep = fluxes.propagate_states(
+            phi0, config.potential,
+            [s for t in config.output_times for s in fluxes.oracle_times(t, config.dtau_fd)],
+            min(config.dtau, config.dtau_fd / 2),
+        )
+        rates = fluxes.oracle_rates(
+            old_sweep, 0.0, regions[0], config.beta_list, config.dtau_fd, config.epsilon_entropy
+        )
+        for q in fluxes.quantities(config.beta_list):
+            assert q.entry(report["times"][0])["oracle"] == rates[q.key]
 
 
 #: Runs SMALL through cli.run with every scipy import refused, then lists

@@ -508,6 +508,20 @@ class TestPropagateStates:
         assert np.max(np.abs(states[0.05].values - direct.values)) < 1e-12
         assert [states[t].tau for t in sorted(states)] == sorted(states)
 
+    def test_legs_start_at_the_base_state_time(self, cgrid):
+        pot = pure_quartic()
+        base = propagate_states(evaluate_state(coherent(1.0, 0.5), cgrid, 0.0), pot, [0.25], 1e-3)[0.25]
+        states = propagate_states(base, pot, [0.2, 0.24, 0.25, 0.26, 0.3], 1e-3)
+        assert sorted(states) == [0.2, 0.24, 0.25, 0.26, 0.3]
+        assert states[0.25] is base
+        # later times ascend from the base and earlier ones descend from it,
+        # each leg continuing from the state before it
+        for t, start in ((0.26, 0.25), (0.3, 0.26), (0.24, 0.25), (0.2, 0.24)):
+            n = int(round(abs(t - start) / 1e-3))
+            direct = evolve_wavefunction(states[start], pot, (t - start) / n, n)
+            assert np.array_equal(states[t].values, direct.values)
+        assert [states[t].tau for t in sorted(states)] == sorted(states)
+
     def test_steps_grow_linearly_with_the_output_times(self, monkeypatch, cgrid):
         steps = Counter()
 
