@@ -327,11 +327,11 @@ def _flux_csv_rows(times_blocks: list, betas) -> tuple[list[str], list[list[str]
         "purity_flux", "purity_volume_term", "purity_full",
         "purity_oracle_dP", "purity_oracle_2pi_adjusted", "purity_rel_dev",
     ]
-    for b in betas:
-        tag = f"{b:g}"
+    renyi_rows = [fx.renyi(b) for b in betas]
+    for q in renyi_rows:
         header += [
-            f"renyi_flux_{tag}", f"renyi_volume_term_{tag}", f"renyi_full_{tag}",
-            f"renyi_rate_{tag}", f"renyi_oracle_{tag}", f"renyi_rel_dev_{tag}",
+            f"renyi_flux_{q.tag}", f"renyi_volume_term_{q.tag}", f"renyi_full_{q.tag}",
+            f"renyi_rate_{q.tag}", f"renyi_oracle_{q.tag}", f"renyi_rel_dev_{q.tag}",
         ]
     rows = []
     for blk in times_blocks:
@@ -344,8 +344,8 @@ def _flux_csv_rows(times_blocks: list, betas) -> tuple[list[str], list[list[str]
         p = blk["purity"]
         row += [_fmt(p["loop"]), _fmt(p["volume_term"]), _fmt(p["full"]),
                 _fmt(p.get("oracle")), _fmt(p.get("oracle_2pi_adjusted")), _fmt(p.get("rel_dev"))]
-        for b in betas:
-            e = blk["renyi"][f"{b:g}"]
+        for q in renyi_rows:
+            e = q.entry(blk)
             row += [_fmt(e.get("loop")), _fmt(e.get("volume_term")), _fmt(e.get("full")),
                     _fmt(e.get("rate")), _fmt(e.get("oracle")), _fmt(e.get("rel_dev"))]
         rows.append(row)

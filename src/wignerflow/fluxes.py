@@ -26,14 +26,16 @@ observables.purity.
 
 Each Wigner snapshot is evaluated once: a Snapshot computes the current,
 Delta J_k, div(w), one bicubic spline of W (spline.GridSpline, sampled
-on the orbit and on the region's refined lattice) and one of Delta J_k
+on the orbit and at the region's quadrature nodes) and one of Delta J_k
 (fitted on the cells the orbit touches and sampled there) at most once
 each, and every loop flux, volume term and region quantity of that
-snapshot is read from those samples.  Volume corrections are evaluated
+snapshot is read from those samples.  Region quantities integrate over
+the orbit's own boundary by Green's theorem (OrbitRegion), with no
+lattice and no staircase.  Volume corrections are evaluated
 on the node window of their mask, the bounding box of its true nodes
-(about 1 % of the grid for the orbit interior, which OrbitRegion
-computes once per orbit): div(w), the W**p weight, the integrand and its
-quadrature never touch a node outside it.
+(about 1 % of the grid for the orbit interior, whose node mask
+OrbitRegion computes once per orbit): div(w), the W**p weight, the
+integrand and its quadrature never touch a node outside it.
 
 The oracle, oracle_rates, cross-checks every row at once by central
 finite differences of its region quantity between the states at
@@ -71,10 +73,10 @@ from .potentials import PotentialModel
 from .spline import GridSpline
 from .states import CAPTURE_LIMIT, StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
 
-#: Refined-lattice nodes of OrbitRegion per grid cell and axis.
-REGION_REFINE = 4
-#: Sub-samples per refined cell and axis of OrbitRegion's coverage test.
-COVERAGE_SUBSAMPLES = 8
+#: Fewest orbit samples in the loop rule of OrbitRegion's region quadrature (all of them if fewer).
+REGION_LOOP_SAMPLES = 256
+#: Gauss-Legendre nodes in x per loop sample of OrbitRegion's region quadrature.
+REGION_GAUSS_NODES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,13 +192,21 @@ def orbit_interior_mask(orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> np.ndarr
 
 
 class OrbitRegion:
-    """Quadrature helper for integrals over the orbit interior.
+    """Quadrature over the orbit interior, built once per orbit.
 
-    Builds, once per orbit, a refined node-centered lattice over the orbit
-    bounding box with fractional cell-coverage weights (subsampled on
-    boundary cells), so that finite differences of region integrals are not
-    polluted by staircase error.  Also exposes the plain boolean node mask
-    that volume corrections integrate over, and its node window.
+    Region quantities use Green's theorem, int int_Omega g dx dk = loop
+    integral of G dk with G(x, k) = int_{x_min}^{x} g(s, k) ds, which
+    integrates over the orbit's own boundary (Sommariva & Vianello, BIT 47,
+    441 (2007)).  The loop integral is the periodic trapezoid rule with
+    dk = v_k dtau over about REGION_LOOP_SAMPLES orbit samples: every
+    stride-th one, counted from the rightmost, with the largest stride that
+    divides the sample count and keeps at least that many (every sample
+    when there are fewer).  G is the REGION_GAUSS_NODES-point
+    Gauss-Legendre rule in x from the orbit's x_min to each of them, so
+    every node lies in the orbit's bounding box.  The sign of the signed
+    area orients the loop, so a reversed orbit has the same nodes and
+    weights.  Volume corrections integrate over the plain boolean node
+    mask instead, on its node window.
     """
 
     def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> None:
@@ -206,31 +216,22 @@ class OrbitRegion:
         #: Bounding box of the mask's nodes, where volume corrections are evaluated.
         self.window = node_window(grid.shape, self.mask)
 
-        hx, hk = grid.h_x / REGION_REFINE, grid.h_k / REGION_REFINE
-        x_lo, x_hi = orbit.x.min() - grid.h_x, orbit.x.max() + grid.h_x
-        k_lo, k_hi = orbit.k.min() - grid.h_k, orbit.k.max() + grid.h_k
-        self._fx = np.arange(x_lo, x_hi + hx, hx)
-        self._fk = np.arange(k_lo, k_hi + hk, hk)
-        #: Corners of the refined lattice, the reach of a spline it samples.
-        self.corners = (self._fx[[0, -1]], self._fk[[0, -1]])
-        self._cell_area = hx * hk
+        n = orbit.x.size
+        stride = max(d for d in range(1, max(n // REGION_LOOP_SAMPLES, 1) + 1) if n % d == 0)
+        loop = slice(int(np.argmax(orbit.x)) % stride, None, stride)
+        x, k = orbit.x[loop], orbit.k[loop]
+        dk = orbit.vk[loop] * (stride * orbit.dtau)
+        x_min = orbit.x.min()
+        t, gauss = np.polynomial.legendre.leggauss(REGION_GAUSS_NODES)
+        half = 0.5 * (x - x_min)
+        #: Quadrature nodes (x, k) of region integrals: REGION_GAUSS_NODES per loop sample.
+        self.nodes = ((x_min + np.outer(half, 1.0 + t)).ravel(), np.repeat(k, t.size))
+        #: Quadrature weights of the nodes, oriented by the sign of the signed area.
+        self.weights = (np.sign(np.sum(x * dk)) * np.outer(half * dk, gauss)).ravel()
 
-        # Coverage fraction of each node-centered cell, from an exact winding
-        # test on a sub-lattice of COVERAGE_SUBSAMPLES**2 points per cell.
-        n = COVERAGE_SUBSAMPLES
-        frac = (np.arange(n) + 0.5) / n - 0.5
-        sub_x = (self._fx[:, None] + hx * frac[None, :]).ravel()
-        sub_k = (self._fk[:, None] + hk * frac[None, :]).ravel()
-        inside = _scanline_inside(sub_x, sub_k, orbit.x, orbit.k)
-        self._weights = inside.reshape(self._fx.size, n, self._fk.size, n).mean(axis=(1, 3))
-
-    def refine(self, spline: GridSpline) -> np.ndarray:
-        """Samples of a fitted grid spline on the refined lattice."""
-        return spline.lattice(self._fx, self._fk)
-
-    def fine_integral(self, fine: np.ndarray) -> float:
-        """Integral over the enclosed region of refined-lattice samples."""
-        return float(np.sum(fine * self._weights) * self._cell_area)
+    def integral(self, values: np.ndarray) -> float:
+        """Integral over the enclosed region of a density sampled at the nodes."""
+        return float(np.dot(values, self.weights))
 
 
 def _loop_sum(weights, delta_jk: np.ndarray, orbit: ClassicalOrbit) -> float:
@@ -293,10 +294,10 @@ class Snapshot:
 
     @cached_property
     def w_spline(self) -> GridSpline:
-        """W's spline, fitted on the cells that the orbit and the region's lattice sample."""
+        """W's spline, fitted on the cells that the orbit samples and the region's nodes touch."""
         reach = [(self.orbit.x, self.orbit.k)] if self.orbit is not None else []
         if self.region is not None:
-            reach.append(self.region.corners)
+            reach.append(self.region.nodes)
         return GridSpline(self.w.grid, self.w.values, tuple(np.concatenate(axis) for axis in zip(*reach)))
 
     @cached_property
@@ -311,9 +312,9 @@ class Snapshot:
         return GridSpline(self.w.grid, self.dj_k, near).ev(*near)
 
     @cached_property
-    def fine_w(self) -> np.ndarray:
-        """W on the region's refined lattice."""
-        return self.region.refine(self.w_spline)
+    def region_w(self) -> np.ndarray:
+        """W at the region's quadrature nodes."""
+        return self.w_spline.ev(*self.region.nodes)
 
     def loop(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> float:
         """Loop flux of one row, rejected where an orbit sample lies outside its domain.
@@ -366,7 +367,7 @@ class Snapshot:
 
     def quantity(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> float:
         """Region quantity of one row: factor * int density(W) over the orbit interior."""
-        return q.factor * self.region.fine_integral(q.density(self.fine_w, floor))
+        return q.factor * self.region.integral(q.density(self.region_w, floor))
 
     def block_entry(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> dict:
         """One row's block entry: loop flux, volume term, balance form.

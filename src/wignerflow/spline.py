@@ -232,15 +232,3 @@ class GridSpline:
         corner = 2 * (i * width + j)
         block = self.table.ravel().take(corner[:, None, None] + np.add.outer(np.arange(4) * width, np.arange(4)))
         return np.einsum("np,np->n", np.einsum("npq,nq->np", block, wk), wx)
-
-    def lattice(self, x, k) -> np.ndarray:
-        """Spline values on the tensor lattice x by k, shape (x.size, k.size)."""
-        i, wx = self._locate(x, self._x, self.grid.h_x, self._rows)
-        j, wk = self._locate(k, self._k, self.grid.h_k, self._cols)
-        r0, r1 = 2 * int(i.min()), 2 * int(i.max()) + 4
-        c0, c1 = 2 * int(j.min()), 2 * int(j.max()) + 4
-        ax = np.zeros((i.size, r1 - r0))
-        np.put_along_axis(ax, 2 * i[:, None] - r0 + np.arange(4), wx, axis=1)
-        ak = np.zeros((j.size, c1 - c0))
-        np.put_along_axis(ak, 2 * j[:, None] - c0 + np.arange(4), wk, axis=1)
-        return ax @ self.table[r0:r1, c0:c1] @ ak.T

@@ -309,8 +309,10 @@ def evolve_wavefunction(
         raise RejectionError(f"invalid time step {dtau}")
     x = phi.grid.x
     kappa = 2.0 * np.pi * np.fft.fftfreq(phi.grid.n, d=phi.grid.h)
-    half_v = np.exp(-0.5j * dtau * potential.u(x))
-    full_t = np.exp(-0.5j * dtau * kappa**2)
+    # a non-finite phase is rejected below, so it need not warn here
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_v = np.exp(-0.5j * dtau * potential.u(x))
+        full_t = np.exp(-0.5j * dtau * kappa**2)
     if not (np.all(np.isfinite(half_v)) and np.all(np.isfinite(full_t))):
         raise RejectionError("potential or kinetic phase is non-finite on the grid")
     norm0 = phi.norm()

@@ -62,6 +62,19 @@ def volume(snap, q):
         return None
 
 
+def quantity(snap, q):
+    """The row's region quantity, or None where it rejects."""
+    try:
+        return snap.quantity(q)
+    except RejectionError:
+        return None
+
+
+def region_scale(snap, q):
+    """Magnitude of the region sum's terms: factor * sum |density * weight|."""
+    return q.factor * float(np.sum(np.abs(q.density(snap.region_w, ENTROPY_FLOOR) * snap.region.weights)))
+
+
 def loop_scale(snap, q):
     """Magnitude of the loop sum's terms: sum |weight Delta J_k dx/dtau| dtau."""
     weight = q.loop[1](snap.w_on)
@@ -81,6 +94,12 @@ def test_reversal_negates_every_loop_and_keeps_every_volume_term(spec, betas):
             assert abs(a + b) <= 1e-12 * loop_scale(fwd, q), q.key
         if q.volume is not None:
             assert volume(fwd, q) == volume(rev, q), q.key
+        # both directions have the same region nodes and weights, summed in
+        # the opposite order
+        a, b = quantity(fwd, q), quantity(rev, q)
+        assert (a is None) == (b is None), q.key
+        if a is not None:
+            assert abs(a - b) <= 1e-12 * region_scale(fwd, q), q.key
 
 
 @PROPERTY

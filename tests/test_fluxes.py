@@ -1,5 +1,6 @@
 """Loop fluxes, volume corrections, and the finite-difference oracle."""
 
+import math
 import warnings
 from collections import Counter
 
@@ -32,7 +33,7 @@ from wignerflow.grid import PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import div_w, wigner_current
 from wignerflow.observables import power_field
 from wignerflow.potentials import harmonic, pure_quartic
-from wignerflow.states import WignerField, coherent, evaluate_state, evolve_wavefunction, wigner_transform
+from wignerflow.states import WignerField, cat, coherent, evaluate_state, evolve_wavefunction, wigner_transform
 
 BETAS = (0.5, 2.0, 3.0)
 
@@ -109,14 +110,34 @@ class TestInteriorMask:
         area = integrate_volume(pgrid, mask.astype(float))
         assert area == pytest.approx(4 * np.pi, rel=2e-2)
 
-    def test_coverage_weights_refine_the_area(self, pgrid, quartic_orbit):
-        # enclosed area of the E = 1/4 quartic orbit: 2 int sqrt(2(E - x^4/4))
-        quad = pytest.importorskip("scipy.integrate").quad
 
-        ref = 2 * quad(lambda x: np.sqrt(2 * (0.25 - x**4 / 4)), -1, 1)[0]
-        region = OrbitRegion(quartic_orbit, pgrid)
-        area = Snapshot(WignerField(np.ones(pgrid.shape), pgrid), region=region).quantity(SIGMA)
-        assert area == pytest.approx(ref, rel=1e-4)
+#: Enclosed area of the E = 1/4 quartic orbit: 2 int sqrt(2(E - x^4/4)) dx
+#: over -1 < x < 1, which is B(1/4, 3/2) / sqrt(2).
+QUARTIC_AREA = math.gamma(0.25) * math.gamma(1.5) / (math.sqrt(2.0) * math.gamma(1.75))
+
+
+def region_area(orbit, grid):
+    return Snapshot(WignerField(np.ones(grid.shape), grid), region=OrbitRegion(orbit, grid)).quantity(SIGMA)
+
+
+class TestRegionQuadrature:
+    def test_quartic_orbit_area(self, pgrid, quartic_orbit):
+        assert region_area(quartic_orbit, pgrid) == pytest.approx(QUARTIC_AREA, rel=1e-8)
+
+    # 4096 and 1000 samples have a divisor stride that keeps at least 256
+    # loop samples (16 and 2); 1021 is prime and 200 is too few, so every
+    # sample is a loop sample
+    @pytest.mark.parametrize(("n_samples", "loop_samples"), [(4096, 256), (1000, 500), (1021, 1021), (200, 200)])
+    def test_loop_samples_divide_the_orbit(self, n_samples, loop_samples, pgrid):
+        orbit = solve_orbit(pure_quartic(), (1.0, 0.0), n_samples=n_samples)
+        region = OrbitRegion(orbit, pgrid)
+        assert region.nodes[0].size == region.weights.size == loop_samples * fluxes.REGION_GAUSS_NODES
+        assert region_area(orbit, pgrid) == pytest.approx(QUARTIC_AREA, rel=1e-8)
+
+    def test_gaussian_mass_inside_the_harmonic_orbit(self, pgrid, gaussian_w, harmonic_orbit):
+        # pi^-1 exp(-r^2) over the disc r < 2
+        mass = Snapshot(gaussian_w, region=OrbitRegion(harmonic_orbit, pgrid)).quantity(SIGMA)
+        assert mass == pytest.approx(1.0 - np.exp(-4.0), rel=1e-7)
 
 
 class TestClassicalLimitNullity:
@@ -350,7 +371,7 @@ class TestOracle:
         region = OrbitRegion(quartic_orbit, pgrid)
         loop = sigma_flux(offset_gaussian_w, quartic_orbit, pot, 2)
         rate = oracle(coherent(1.0, 0.5), pot, region, cgrid)["sigma"]
-        assert loop == pytest.approx(rate, rel=5e-2)
+        assert loop == pytest.approx(rate, rel=2e-5)
 
     def test_svn_balance_against_oracle(self, pgrid, cgrid, quartic_orbit, offset_gaussian_w):
         pot = pure_quartic()
@@ -372,6 +393,21 @@ class TestOracle:
         assert purity["rel_dev"] < 5e-2
         assert blk["renyi"]["2"]["oracle"] == pytest.approx(purity["oracle_2pi_adjusted"], rel=1e-12)
         assert "oracle_2pi_adjusted" not in blk["sigma"] and "oracle_2pi_adjusted" not in blk["svn"]
+
+    def test_symmetric_time_gives_zero_rates_and_deviations(self, pgrid, cgrid, quartic_orbit, cat_w):
+        # The cat is even in k at tau = 0 and the orbit is symmetric under
+        # k -> -k, so every region quantity is even in tau and every balance
+        # form vanishes: the oracle must read zero too, not noise.
+        pot, betas = pure_quartic(), (2.0, 3.0)
+        region = OrbitRegion(quartic_orbit, pgrid)
+        states = propagate_states(evaluate_state(cat(1.5, 0.0), cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 1e-4)
+        rates = oracle_rates(states, 0.0, region, betas)
+        assert all(abs(rate) <= 1e-12 for rate in rates.values()), rates
+        blk = attach_oracles(instantaneous_block(cat_w, quartic_orbit, pot, 2, betas, region=region), states, region, betas)
+        deviations = [(q.key, key, value) for q in quantities(betas) for key, value in q.entry(blk).items()
+                      if key.startswith("rel_dev")]
+        assert len(deviations) == 6
+        assert all(value == 0.0 for _, _, value in deviations), deviations
 
     @pytest.mark.parametrize("dtau_fd", [0.0, -1e-3, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_dtau_fd_rejected(self, dtau_fd, pgrid, cgrid, quartic_orbit):

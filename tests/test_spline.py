@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wignerflow.errors import RejectionError
-from wignerflow.fluxes import OrbitRegion
 from wignerflow.spline import GridSpline, UniformSpline, pieces, slopes
 
 #: A binary spacing, so that every interval of the reference's node array
@@ -18,16 +17,6 @@ def random_values(n: int, complex_values: bool) -> np.ndarray:
     if complex_values:
         values = values + 1j * rng.standard_normal(n)
     return values
-
-
-class FitpackLattice:
-    """RectBivariateSpline behind GridSpline's lattice method, for OrbitRegion.refine."""
-
-    def __init__(self, grid, values):
-        self.spline = pytest.importorskip("scipy.interpolate").RectBivariateSpline(grid.x, grid.k, values)
-
-    def lattice(self, x, k):
-        return self.spline(x, k)
 
 
 def not_a_knot_system(n: int) -> np.ndarray:
@@ -97,14 +86,6 @@ class TestGridSpline:
         w = request.getfixturevalue(field)
         reference = interpolate.RectBivariateSpline(w.grid.x, w.grid.k, w.values).ev(quartic_orbit.x, quartic_orbit.k)
         got = GridSpline(w.grid, w.values).ev(quartic_orbit.x, quartic_orbit.k)
-        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(w.values))
-
-    def test_region_lattice_matches_rect_bivariate_spline(self, field, request, quartic_orbit):
-        w = request.getfixturevalue(field)
-        region = OrbitRegion(quartic_orbit, w.grid)
-        reference = region.refine(FitpackLattice(w.grid, w.values))
-        got = region.refine(GridSpline(w.grid, w.values))
-        assert got.shape == reference.shape
         assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(w.values))
 
     def test_fit_near_the_orbit_equals_the_full_fit(self, field, request, quartic_orbit):
