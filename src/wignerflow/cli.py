@@ -59,7 +59,6 @@ class RunConfig:
     epsilon_mask: float | None
     beta_list: tuple[float, ...]
     orbit_start: tuple[float, float]
-    orbit_dtau: float
     orbit_samples: int
     orbit_tau_limit: float
     dtau: float
@@ -227,7 +226,7 @@ def _parse(raw: dict) -> RunConfig:
     if "q0" in units or "p0" in units:
         x0 = umap.x_from_q(_number(units, "q0", "units", umap.q_from_x(x0)))
         k0 = umap.k_from_p(_number(units, "p0", "units", umap.p_from_k(k0)))
-    orbit_dtau = _number(osec, "dtau", "orbit", 1e-4)
+    orbit_dtau = _number(osec, "dtau", "orbit", 1e-4)  # validated only: the orbit has no time step
     orbit_samples = _number(osec, "samples", "orbit", 4096, int)
     orbit_tau_limit = _number(osec, "tau_limit", "orbit", 1e3)
     if orbit_dtau <= 0 or orbit_samples < 16 or orbit_tau_limit <= 0:
@@ -269,7 +268,6 @@ def _parse(raw: dict) -> RunConfig:
         epsilon_mask=epsilon_mask,
         beta_list=betas,
         orbit_start=(x0, k0),
-        orbit_dtau=orbit_dtau,
         orbit_samples=orbit_samples,
         orbit_tau_limit=orbit_tau_limit,
         dtau=dtau,
@@ -366,7 +364,6 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
         orbit = solve_orbit(
             config.potential,
             config.orbit_start,
-            dtau=config.orbit_dtau,
             n_samples=config.orbit_samples,
             tau_limit=config.orbit_tau_limit,
             x_limit=config.grid.x_max,
@@ -447,11 +444,8 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
     with (out / "orbit.csv").open("w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["tau", "x_C", "k_C", "n_x", "n_k", "dl"])
-        for i in range(orbit.x.size):
-            wr.writerow([
-                repr(float(orbit.tau[i])), repr(float(orbit.x[i])), repr(float(orbit.k[i])),
-                repr(float(orbit.nx[i])), repr(float(orbit.nk[i])), repr(float(orbit.dl[i])),
-            ])
+        columns = (orbit.tau, orbit.x, orbit.k, orbit.nx, orbit.nk, orbit.dl)
+        wr.writerows(zip(*(map(repr, c.tolist()) for c in columns)))
     say(f"wrote {out / 'report.json'}, fluxes.csv, orbit.csv"
         + (f", {len(field_files)} field dump(s)" if field_files else ""))
     return out

@@ -38,14 +38,6 @@ class PotentialModel:
         c = np.polynomial.polynomial.polyder(self.coefficients, order) if order else self.coefficients
         return np.polynomial.polynomial.polyval(x, c)
 
-    def force(self, x: float) -> float:
-        """-u'(x) as a plain float, the hot path of the orbit integrator."""
-        acc = 0.0
-        # Horner evaluation of the derivative polynomial.
-        for j in range(len(self.coefficients) - 1, 0, -1):
-            acc = acc * x + j * self.coefficients[j]
-        return -acc
-
 
 def harmonic() -> PotentialModel:
     """u(x) = x^2 / 2, the well whose quantum corrections vanish identically."""

@@ -20,7 +20,7 @@ every level depend on n alone and are cached per node count, O(n) floats
 in all; any number of right-hand sides, real or complex, is solved at once,
 with the nodes along the first axis.
 
-UniformSpline evaluates the cubic pieces of one axis.  GridSpline is the
+pieces gives the cubic pieces of one axis.  GridSpline is the
 tensor-product spline of a field on a PhaseSpaceGrid, which is the s = 0
 bicubic interpolant of FITPACK's regrid: in each cell it is the bicubic
 Hermite polynomial of the corner values, x-slopes, k-slopes and cross
@@ -141,25 +141,6 @@ def pieces(values: np.ndarray, h: float) -> np.ndarray:
     d = np.diff(values, axis=0) / h
     t = (s[:-1] + s[1:] - 2.0 * d) / h
     return np.stack([t / h, (d - s[:-1]) / h - t, s[:-1], values[:-1]])
-
-
-class UniformSpline:
-    """The not-a-knot cubic through values at the nodes x0 + i h.
-
-    Calling it evaluates the piece of the interval holding each point; a
-    point beyond either end node is evaluated on the end piece.
-    """
-
-    def __init__(self, x0: float, h: float, values: np.ndarray) -> None:
-        self.x0, self.h = float(x0), float(h)
-        self.c = pieces(values, h)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.floor((x - self.x0) / self.h).astype(np.intp), 0, self.c.shape[1] - 1)
-        dx = x - (self.x0 + i * self.h)
-        c = self.c[:, i]
-        return ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
 
 
 def _hermite_weights(u: np.ndarray) -> np.ndarray:

@@ -174,25 +174,24 @@ def evaluate_state(spec: StateSpec, grid: CoordinateGrid, tau: float = 0.0) -> W
 
 
 @lru_cache(maxsize=8)
-def _half_range_kernel(cgrid: CoordinateGrid, grid: PhaseSpaceGrid) -> np.ndarray:
-    """The kernel w'_y [cos 2ky; -sin 2ky] / pi, rows interleaved per y node.
+def _half_range_kernel(cgrid: CoordinateGrid, grid: PhaseSpaceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel halves w'_y cos 2ky / pi and w'_y sin 2ky / pi, k >= 0 only.
 
-    Row 2j multiplies Re f(x, y_j) and row 2j + 1 multiplies Im f(x, y_j),
-    so a complex f viewed as reals meets it in one matmul; shape
-    (2(m+1), n_k).  The y-lattice is the coordinate-grid spacing out to
+    Rows are the y nodes and columns the k >= 0 half, grid.k[n_k // 2:], of
+    the k axis.  The y-lattice is the coordinate-grid spacing out to
     m = floor(x_max / 2h) nodes, half the coordinate half-range; folding the
     symmetric lattice onto y >= 0 doubles every trapezoid weight except the
-    one at y = 0.  The array is shared between calls and read-only.
+    one at y = 0.  The arrays are shared between calls and read-only.
     """
     m = int(np.floor(0.5 * cgrid.x_max / cgrid.h))
     y = np.arange(m + 1) * cgrid.h
     wy = np.full(y.size, 2.0 * cgrid.h)
     wy[0] = wy[-1] = cgrid.h
-    phase = 2.0 * np.outer(y, grid.k)
-    kernel = np.stack([np.cos(phase), -np.sin(phase)], axis=1) * (wy[:, None, None] / np.pi)
-    kernel = kernel.reshape(2 * y.size, grid.n_k)
-    kernel.setflags(write=False)
-    return kernel
+    phase = 2.0 * np.outer(y, grid.k[grid.n_k // 2 :])
+    halves = np.cos(phase) * (wy[:, None] / np.pi), np.sin(phase) * (wy[:, None] / np.pi)
+    for half in halves:
+        half.setflags(write=False)
+    return halves
 
 
 def _lattice_offsets(cgrid: CoordinateGrid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +226,9 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
 
         W = pi^-1 sum_{y >= 0} w'_y [Re f cos 2ky - Im f sin 2ky],
 
-    with w'_0 = h, w' = 2h inside and h at the end node.
+    with w'_0 = h, w' = 2h inside and h at the end node.  The cosine sum A is
+    even in k and the sine sum B odd, so both are computed for k >= 0 only,
+    by the two kernel halves, and W(x, k) = A - B, W(x, -k) = A + B.
 
     The y-lattice has the coordinate spacing h, so x_i -/+ y_j = x_c[s_i -/+ j]
     + t_i with one offset t_i per row: every sample of a row evaluates the
@@ -252,8 +253,10 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         raise RejectionError(
             f"coordinate grid extent {cgrid.x_max} does not cover the phase-space x axis {grid.x_max}"
         )
-    kernel = _half_range_kernel(cgrid, grid)
-    m = kernel.shape[0] // 2 - 1
+    cos_half, sin_half = _half_range_kernel(cgrid, grid)
+    m = cos_half.shape[0] - 1
+    n_neg = grid.n_k // 2
+    skip = cos_half.shape[1] - n_neg  # an odd n_k's k = 0 column has no mirror
     n = cgrid.n
     coeffs = np.ascontiguousarray(spline_pieces(phi.values, cgrid.h)).view(float)
     s, t = _lattice_offsets(cgrid, grid.x)
@@ -274,7 +277,9 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         i = np.arange(b)
         plus = np.conj(windows[i, s[rows] + m])
         np.multiply(windows[i, s[rows]][:, ::-1], plus, out=f[:b])
-        np.matmul(f[:b].view(float), kernel, out=values[rows])
+        even, odd = f[:b].real @ cos_half, f[:b].imag @ sin_half
+        values[rows, n_neg:] = even - odd
+        values[rows, n_neg - 1 :: -1] = (even + odd)[:, skip:]
     w = WignerField(values, grid, phi.tau)
     defect = abs(w.total() - phi.norm())
     if defect > CAPTURE_LIMIT:

@@ -1,4 +1,4 @@
-"""Orbit integration, period detection, loop frame geometry."""
+"""Orbit by turning-point quadrature, its rejections, loop frame geometry."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,49 @@ import pytest
 from wignerflow import classical
 from wignerflow.classical import ClassicalOrbit, orbit_frame, period_quadrature, solve_orbit
 from wignerflow.errors import RejectionError
-from wignerflow.potentials import double_well, harmonic, pure_quartic
+from wignerflow.potentials import PotentialModel, double_well, harmonic, pure_quartic, quartic_perturbed
+
+
+def verlet_samples(potential, orbit, dtau_max=1e-4):
+    """(x, k) at the orbit's sample times by velocity Verlet from its first sample.
+
+    The step divides the sample spacing and is at most dtau_max; the force
+    is a plain-float Horner evaluation of -u'(x).
+    """
+    per_sample = int(np.ceil(orbit.dtau / dtau_max))
+    h = orbit.dtau / per_sample
+    dcoeffs = [j * c for j, c in enumerate(potential.coefficients)][:0:-1]
+
+    def force(x):
+        acc = 0.0
+        for c in dcoeffs:
+            acc = acc * x + c
+        return -acc
+
+    xs, ks = np.empty(orbit.x.size), np.empty(orbit.x.size)
+    x, k = float(orbit.x[0]), float(orbit.k[0])
+    f = force(x)
+    for i in range(orbit.x.size):
+        xs[i], ks[i] = x, k
+        for _ in range(per_sample):
+            half = k + 0.5 * h * f
+            x += h * half
+            f = force(x)
+            k = half + 0.5 * h * f
+    return xs, ks
 
 
 class TestHarmonicOrbit:
     def test_period_is_two_pi(self, harmonic_orbit):
-        assert harmonic_orbit.period == pytest.approx(2 * np.pi, abs=1e-5)
+        assert harmonic_orbit.period == pytest.approx(2 * np.pi, abs=1e-12)
 
     def test_orbit_is_the_circle(self, harmonic_orbit):
         r = np.hypot(harmonic_orbit.x, harmonic_orbit.k)
-        assert np.max(np.abs(r - 2.0)) < 1e-6
+        assert np.max(np.abs(r - 2.0)) < 1e-12
 
     def test_energy_drift(self, harmonic_orbit):
         h = 0.5 * harmonic_orbit.k**2 + 0.5 * harmonic_orbit.x**2
-        assert np.max(np.abs(h - harmonic_orbit.energy)) < 1e-8
+        assert np.max(np.abs(h - harmonic_orbit.energy)) < 1e-12
 
     def test_circumference(self, harmonic_orbit):
         _, dl = orbit_frame(harmonic_orbit)
@@ -58,17 +87,13 @@ class TestQuarticOrbit:
     def test_energy_conserved(self, quartic_orbit):
         h = 0.5 * quartic_orbit.k**2 + 0.25 * quartic_orbit.x**4
         assert quartic_orbit.energy == pytest.approx(0.25, abs=1e-12)
-        assert np.max(np.abs(h - 0.25)) < 1e-8
-
-    def test_period_reproducible_under_step_halving(self, quartic_orbit):
-        finer = solve_orbit(pure_quartic(), (1.0, 0.0), dtau=5e-5)
-        assert abs(finer.period - quartic_orbit.period) < 1e-5
+        assert np.max(np.abs(h - 0.25)) < 1e-12
 
     def test_period_matches_turning_point_quadrature(self, quartic_orbit):
         # T = 2 int dx / sqrt(2 (E - u)) with the sqrt singularity removed
         pytest.importorskip("scipy")
         t_ref = period_quadrature(pure_quartic(), 0.25)
-        assert abs(quartic_orbit.period - t_ref) / t_ref < 1e-4
+        assert abs(quartic_orbit.period - t_ref) / t_ref < 1e-11
 
     def test_not_parity_flagged(self, quartic_orbit):
         assert not quartic_orbit.single_well_asymmetric
@@ -81,13 +106,19 @@ class TestDoubleWell:
         assert np.min(orbit.x) > 0.0
         pytest.importorskip("scipy")
         t_ref = period_quadrature(double_well(0.25), orbit.energy)
-        assert abs(orbit.period - t_ref) / t_ref < 1e-4
+        assert abs(orbit.period - t_ref) / t_ref < 1e-11
 
     def test_near_separatrix_orbit_times_out(self):
-        # u(sqrt(2)) = 0 equals the barrier-top energy: the trajectory dwells
-        # at the saddle far longer than this tau_limit allows
+        # u(sqrt(2)) = 0 equals the barrier-top energy to rounding: the orbit
+        # turns at or skims the saddle, and no finite period is resolved
         with pytest.raises(RejectionError, match="no period found"):
-            solve_orbit(double_well(0.25), (np.sqrt(2.0), 0.0), dtau=1e-3, tau_limit=10.0)
+            solve_orbit(double_well(0.25), (np.sqrt(2.0), 0.0), tau_limit=10.0)
+
+    def test_exact_separatrix_rejected(self):
+        # u = -x^2 + x^4 has u(1) = u(0) = 0 exactly: the orbit from (1, 0)
+        # turns at the saddle x = 0, where u' = 0, so its period is infinite
+        with pytest.raises(RejectionError, match="no period found.*separatrix"):
+            solve_orbit(PotentialModel("separatrix", (0.0, 0.0, -1.0, 0.0, 1.0)), (1.0, 0.0))
 
 
 class TestContracts:
@@ -98,6 +129,22 @@ class TestContracts:
     def test_orbit_exceeding_limit_rejected(self):
         with pytest.raises(RejectionError, match="exceeded"):
             solve_orbit(harmonic(), (2.0, 0.0), x_limit=1.5)
+
+    def test_motion_without_a_turning_point_rejected(self):
+        # u = x: E - u has one root, so the motion to the left is unbounded
+        with pytest.raises(RejectionError, match="unbounded motion.*exceeded"):
+            solve_orbit(PotentialModel("slope", (0.0, 1.0)), (0.0, 1.0))
+
+    def test_period_beyond_tau_limit_rejected(self):
+        with pytest.raises(RejectionError, match="no period found within tau_limit=6.0.*period 6.28319"):
+            solve_orbit(harmonic(), (2.0, 0.0), tau_limit=6.0)
+
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (0.3, 0.9), (-0.7, -0.4), (0.0, -1.1)])
+    def test_first_sample_is_the_start(self, start):
+        orbit = solve_orbit(pure_quartic(), start)
+        assert (orbit.x[0], orbit.k[0]) == start
+        assert orbit.tau[0] == 0.0
+        assert orbit.energy == pytest.approx(0.5 * start[1] ** 2 + 0.25 * start[0] ** 4, rel=1e-15)
 
     def test_reversed_orbit_flips_frame(self, harmonic_orbit):
         rev = harmonic_orbit.reversed()
@@ -125,64 +172,22 @@ class TestContracts:
             ClassicalOrbit(tau, tau, tau, tau, np.zeros(16), 1.0, 0.5, "test")
 
 
-class TestIntegratorProperties:
-    def test_symplectic_energy_error_second_order(self):
-        # max energy error scales as dtau^2: halving the step cuts it by
-        # about 4 (within 30 percent)
-        errs = []
-        for dtau in (2e-4, 1e-4):
-            orb = solve_orbit(pure_quartic(), (1.0, 0.0), dtau=dtau)
-            h = 0.5 * orb.k**2 + 0.25 * orb.x**4
-            errs.append(np.max(np.abs(h - orb.energy)))
-        ratio = errs[0] / errs[1]
-        assert 2.8 < ratio < 5.2
-
-    def test_time_reversal(self):
-        # velocity Verlet retraces its path exactly up to rounding
-        pot = pure_quartic()
-        dtau, steps = 1e-4, 20000
-        x, k = 1.0, 0.0
-        for _ in range(steps):
-            half = k + 0.5 * dtau * pot.force(x)
-            x += dtau * half
-            k = half + 0.5 * dtau * pot.force(x)
-        for _ in range(steps):
-            half = k - 0.5 * dtau * pot.force(x)
-            x -= dtau * half
-            k = half - 0.5 * dtau * pot.force(x)
-        assert abs(x - 1.0) < 1e-8 and abs(k) < 1e-8
-
-    def test_one_force_call_per_step_and_the_two_call_orbit(self, monkeypatch):
-        # the end-of-step force is reused as the next first half-kick, so
-        # the orbit equals the two-call Verlet loop bit for bit
-        calls = []
-
-        class CountedQuartic(type(pure_quartic())):
-            def force(self, x):
-                calls.append(x)
-                return super().force(x)
-
-        dense = []
-        spline = classical.UniformSpline
-
-        def recording_spline(x0, h, values):
-            dense.append(values.copy())
-            return spline(x0, h, values)
-
-        pot = pure_quartic()
-        counted = CountedQuartic(pot.label, pot.coefficients)
-        monkeypatch.setattr(classical, "UniformSpline", recording_spline)
-        orbit = solve_orbit(counted, (1.0, 0.0))
-        steps = dense[0].size - 1
-        assert len(calls) <= steps + 1
-
-        dtau = classical.DEFAULT_ORBIT_DTAU
-        xs, ks = np.empty(steps + 1), np.empty(steps + 1)
-        x, k = xs[0], ks[0] = 1.0, 0.0
-        for i in range(1, steps + 1):
-            half = k + 0.5 * dtau * pot.force(x)
-            x += dtau * half
-            k = half + 0.5 * dtau * pot.force(x)
-            xs[i], ks[i] = x, k
-        assert np.array_equal(orbit.x, spline(0.0, dtau, xs)(orbit.tau))
-        assert np.array_equal(orbit.k, spline(0.0, dtau, ks)(orbit.tau))
+class TestVerletReference:
+    @pytest.mark.parametrize(
+        "potential, start",
+        [
+            (pure_quartic(), (1.0, 0.0)),
+            (pure_quartic(), (0.3, 0.9)),
+            (harmonic(), (2.0, 0.0)),
+            (double_well(0.25), (1.2, 0.0)),
+            (quartic_perturbed(0.1), (0.7, -0.6)),
+        ],
+        ids=["quartic", "quartic_moving_start", "harmonic", "double_well", "perturbed_backward"],
+    )
+    def test_samples_follow_the_verlet_trajectory(self, potential, start):
+        # velocity Verlet at dtau <= 1e-4 is second order: its own error over
+        # one period is a few 1e-9, and the quadrature's samples agree with it
+        orbit = solve_orbit(potential, start)
+        xs, ks = verlet_samples(potential, orbit)
+        assert np.max(np.abs(orbit.x - xs)) < 1e-8
+        assert np.max(np.abs(orbit.k - ks)) < 1e-8

@@ -13,6 +13,7 @@ import pytest
 
 import wignerflow
 from wignerflow import cli, fluxes
+from wignerflow.classical import solve_orbit
 from wignerflow.cli import main, parse_config
 
 #: A small but complete run: 64^2 phase grid, 512-node coordinate grid.
@@ -220,3 +221,33 @@ def test_a_run_needs_no_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_orbit_csv_matches_the_row_by_row_writer(tmp_path):
+    # the column-wise writer gives the same bytes as one repr(float) per cell
+    config = parse_config(SMALL)
+    cli.run(config, tmp_path / "out")
+    o = solve_orbit(config.potential, config.orbit_start, config.orbit_samples, config.orbit_tau_limit, config.grid.x_max)
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["tau", "x_C", "k_C", "n_x", "n_k", "dl"])
+        for i in range(o.x.size):
+            wr.writerow([
+                repr(float(o.tau[i])), repr(float(o.x[i])), repr(float(o.k[i])),
+                repr(float(o.nx[i])), repr(float(o.nk[i])), repr(float(o.dl[i])),
+            ])
+    written = (tmp_path / "out" / "orbit.csv").read_bytes()
+    assert written == reference.read_bytes()
+    assert len(written.splitlines()) == 1 + config.orbit_samples
+
+
+def test_orbit_dtau_is_validated_and_has_no_effect():
+    # the orbit has no time step; the key stays accepted so old configs run
+    orbit = {"x0": 1.0, "k0": 0.0}
+    with_dtau, without = parse_config({**SMALL, "orbit": {**orbit, "dtau": 5e-3}}), parse_config(SMALL)
+    assert with_dtau.echo["orbit"]["dtau"] == 5e-3
+    with_dtau.echo = without.echo = {}
+    assert with_dtau == without
+    with pytest.raises(wignerflow.ConfigError, match="orbit dtau"):
+        parse_config({**SMALL, "orbit": {**orbit, "dtau": 0.0}})

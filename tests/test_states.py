@@ -18,6 +18,7 @@ from wignerflow.states import (
     superposition,
     wigner_transform,
 )
+from wignerflow.spline import pieces as spline_pieces
 
 
 def full_lattice_transform(phi, grid):
@@ -32,6 +33,31 @@ def full_lattice_transform(phi, grid):
     minus = np.nan_to_num(spline(grid.x[:, None] - y[None, :]))
     plus = np.nan_to_num(spline(grid.x[:, None] + y[None, :]))
     return (((minus * np.conj(plus)) * wy) @ np.exp(2j * np.outer(y, grid.k))).real / np.pi
+
+
+def interleaved_kernel_transform(phi, grid):
+    """W by one product of f with the interleaved kernel over every k column.
+
+    The kernel's rows 2j and 2j + 1 hold w'_y [cos 2ky; -sin 2ky] / pi over
+    the whole k axis, and meet Re f and Im f of the module's y >= 0 lattice
+    (the same spline samples) in one matmul: the transform before its
+    k-parity split.
+    """
+    cgrid = phi.grid
+    m = int(np.floor(0.5 * cgrid.x_max / cgrid.h))
+    y = np.arange(m + 1) * cgrid.h
+    wy = np.full(y.size, 2.0 * cgrid.h)
+    wy[0] = wy[-1] = cgrid.h
+    phase = 2.0 * np.outer(y, grid.k)
+    kernel = (np.stack([np.cos(phase), -np.sin(phase)], axis=1) * (wy[:, None, None] / np.pi)).reshape(2 * y.size, grid.n_k)
+    c = spline_pieces(phi.values, cgrid.h)
+    s, t = states._lattice_offsets(cgrid, grid.x)
+    padded = np.zeros((grid.n_x, cgrid.n + 2 * m), dtype=complex)
+    padded[:, m : m + cgrid.n - 1] = np.einsum("ip,pq->iq", t[:, None] ** np.arange(3, -1, -1), c)
+    padded[:, m + cgrid.n - 1] = np.where(t == 0.0, phi.values[-1], 0.0)
+    rows = np.arange(grid.n_x)[:, None]
+    f = padded[rows, s[:, None] + m - np.arange(m + 1)] * np.conj(padded[rows, s[:, None] + m + np.arange(m + 1)])
+    return f.view(float) @ kernel
 
 
 CATALOG_SPECS = [
@@ -158,6 +184,32 @@ class TestWignerTransform:
             phi = Wavefunction(ground.values + 0.01 * (cgrid.x > 7.5) * np.exp(1j * cgrid.x), cgrid)
         assert np.max(np.abs(wigner_transform(phi, pgrid).values - full_lattice_transform(phi, pgrid))) <= 1e-14
 
+
+    @pytest.mark.parametrize("n_k", [256, 255], ids=["even", "odd"])
+    def test_parity_halves_match_the_full_kernel(self, n_k, cgrid):
+        # coherent(1, 0.5) has no symmetry in x or k, so each mirrored column
+        # differs from its partner; the odd axis has an unmirrored k = 0 column
+        grid = PhaseSpaceGrid.centered(8.0, 8.0, 256, n_k)
+        phi = evaluate_state(coherent(1.0, 0.5), cgrid)
+        reference = interleaved_kernel_transform(phi, grid)
+        got = wigner_transform(phi, grid).values
+        assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_mirrored_half_at_the_largest_accepted_asymmetry(self, cgrid):
+        # |k_min + k_max| = 1e-12 k_max is the most PhaseSpaceGrid accepts
+        # (to 1e-4 of it here); the mirrored columns then sit up to 8e-12
+        # off their nominal -k
+        k_max = 8.0 + 7.999e-12
+        with pytest.raises(RejectionError, match="symmetric"):
+            PhaseSpaceGrid(-8.0, 8.0, -8.0, 8.0 + 8.001e-12, 128, 101)
+        grid = PhaseSpaceGrid(-8.0, 8.0, -8.0, k_max, 128, 101)
+        phi = evaluate_state(coherent(1.0, 0.5), cgrid)
+        reference = interleaved_kernel_transform(phi, grid)
+        got = wigner_transform(phi, grid).values
+        scale = np.max(np.abs(reference))
+        mirrored = grid.n_k // 2
+        assert np.max(np.abs(got[:, mirrored:] - reference[:, mirrored:])) <= 1e-14 * scale
+        assert np.max(np.abs(got[:, :mirrored] - reference[:, :mirrored])) <= 1e-10 * scale
 
     @pytest.mark.parametrize("case", ["cat", "evolved_coherent", "aligned_edge"])
     def test_each_block_tabulates_only_the_pieces_it_reads(self, case, pgrid, cgrid, monkeypatch):
