@@ -70,6 +70,11 @@ class RunConfig:
     emit_fields: bool
     echo: dict = field(default_factory=dict)
 
+    @property
+    def dtau_oracle(self) -> float:
+        """Step of the oracle's branches at tau -/+ dtau_fd: dtau, or dtau_fd / 2 if that is finer."""
+        return min(self.dtau, self.dtau_fd / 2)
+
 
 _MISSING = object()
 
@@ -108,10 +113,13 @@ def _list(value, name: str) -> list:
 
 
 def _finite(value, name: str, kind=float):
-    """``kind(value)`` when that is a finite number (integral for int); ConfigError otherwise."""
+    """``kind(value)`` when that is a finite number (integral for int); ConfigError otherwise.
+
+    A JSON boolean is not a number, though Python's bool converts to one.
+    """
     try:
         out = kind(value)
-        if math.isfinite(out) and (kind is not int or float(value) == out):
+        if not isinstance(value, bool) and math.isfinite(out) and (kind is not int or float(value) == out):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -258,7 +266,7 @@ def _parse(raw: dict) -> RunConfig:
     if accumulate and (acc_nodes < 4 or acc_dtau <= 0):
         raise ConfigError("accumulation needs time_nodes >= 4 and a positive dtau")
 
-    return RunConfig(
+    config = RunConfig(
         potential=potential,
         state=state,
         grid=grid,
@@ -279,6 +287,11 @@ def _parse(raw: dict) -> RunConfig:
         emit_fields=_flag(raw, "emit_fields", "top level"),
         echo=raw,
     )
+    # every leg is stepped: tau = 0 to t by dtau, t to t -/+ dtau_fd by the oracle's step
+    for t in times:
+        if not all(map(math.isfinite, (t / dtau, t + dtau_fd, dtau_fd / config.dtau_oracle))):
+            raise ConfigError(f"output time {t!r} needs a non-finite number of steps of dtau or dtau_fd / 2")
+    return config
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -350,6 +363,19 @@ def _flux_csv_rows(times_blocks: list, betas) -> tuple[list[str], list[list[str]
     return header, rows
 
 
+def _write_columns(path: Path, header: list[str], blocks) -> None:
+    """A CSV of float columns, one repr per cell, written a block of rows at a time.
+
+    Each block is a tuple of equal-length 1-D arrays, the columns of its
+    rows.
+    """
+    with path.open("w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for columns in blocks:
+            wr.writerows(zip(*(map(repr, c.tolist()) for c in columns)))
+
+
 def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet: bool = True) -> Path:
     """Execute one configured run and write report.json, fluxes.csv, orbit.csv."""
     out = Path(out_dir)
@@ -379,8 +405,7 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
     with _stage("states.evolve_wavefunction"):
         phis = fx.propagate_states(phi0, config.potential, config.output_times, config.dtau)
     # The oracle's states at tau -/+ dtau_fd branch off the state at tau
-    # whose fluxes they check, at a step no coarser than dtau_fd / 2.
-    dtau_oracle = min(config.dtau, config.dtau_fd / 2)
+    # whose fluxes they check, at config.dtau_oracle.
 
     for t in config.output_times:
         with _stage("states.wigner_transform"):
@@ -392,7 +417,7 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
             )
         with _stage("fluxes.oracle"):
             oracle_phis = fx.propagate_states(
-                phis[t], config.potential, fx.oracle_times(t, config.dtau_fd), dtau_oracle
+                phis[t], config.potential, fx.oracle_times(t, config.dtau_fd), config.dtau_oracle
             )
             fx.attach_oracles(blk, oracle_phis, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
         blocks.append(blk)
@@ -402,11 +427,7 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
             fdir.mkdir(exist_ok=True)
             X, K = config.grid.meshes()
             path = fdir / f"W_{t:.6f}.csv"
-            with path.open("w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["x", "k", "W"])
-                for xi, ki, wi in zip(X.ravel(), K.ravel(), w.values.ravel()):
-                    wr.writerow([repr(float(xi)), repr(float(ki)), repr(float(wi))])
+            _write_columns(path, ["x", "k", "W"], zip(X, K, w.values))
             field_files.append(path.name)
 
     accumulated = None
@@ -441,11 +462,10 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
         wr.writerow(header)
         wr.writerows(rows)
 
-    with (out / "orbit.csv").open("w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["tau", "x_C", "k_C", "n_x", "n_k", "dl"])
-        columns = (orbit.tau, orbit.x, orbit.k, orbit.nx, orbit.nk, orbit.dl)
-        wr.writerows(zip(*(map(repr, c.tolist()) for c in columns)))
+    _write_columns(
+        out / "orbit.csv", ["tau", "x_C", "k_C", "n_x", "n_k", "dl"],
+        [(orbit.tau, orbit.x, orbit.k, orbit.nx, orbit.nk, orbit.dl)],
+    )
     say(f"wrote {out / 'report.json'}, fluxes.csv, orbit.csv"
         + (f", {len(field_files)} field dump(s)" if field_files else ""))
     return out

@@ -27,15 +27,18 @@ observables.purity.
 Each Wigner snapshot is evaluated once: a Snapshot computes the current,
 Delta J_k, div(w), one bicubic spline of W (spline.GridSpline, sampled
 on the orbit and at the region's quadrature nodes) and one of Delta J_k
-(fitted on the cells the orbit touches and sampled there) at most once
-each, and every loop flux, volume term and region quantity of that
-snapshot is read from those samples.  Region quantities integrate over
-the orbit's own boundary by Green's theorem (OrbitRegion), with no
-lattice and no staircase.  Volume corrections are evaluated
-on the node window of their mask, the bounding box of its true nodes
-(about 1 % of the grid for the orbit interior, whose node mask
-OrbitRegion computes once per orbit): div(w), the W**p weight, the
-integrand and its quadrature never touch a node outside it.
+(sampled on the orbit) at most once each, and every loop flux, volume
+term and region quantity of that snapshot is read from those samples.
+What depends on the orbit and the grid alone is worked out once per
+orbit, not per snapshot: OrbitRegion's SamplingPlan holds the node span
+both splines are fitted on, the axes' slope operators that fit them, and
+the cell and Hermite weights of every orbit sample and quadrature node.
+Region quantities integrate over the orbit's own boundary by Green's
+theorem (OrbitRegion), with no lattice and no staircase.  Volume
+corrections are evaluated on the node window of their mask, the bounding
+box of its true nodes (about 1 % of the grid for the orbit interior,
+whose node mask OrbitRegion computes once per orbit): div(w), the W**p
+weight, the integrand and its quadrature never touch a node outside it.
 
 The oracle, oracle_rates, cross-checks every row at once by central
 finite differences of its region quantity between the states at
@@ -70,7 +73,7 @@ from .observables import (
     require_power_domain,
 )
 from .potentials import PotentialModel
-from .spline import GridSpline
+from .spline import GridSpline, SamplingPlan
 from .states import CAPTURE_LIMIT, StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
 
 #: Fewest orbit samples in the loop rule of OrbitRegion's region quadrature (all of them if fewer).
@@ -207,6 +210,11 @@ class OrbitRegion:
     area orients the loop, so a reversed orbit has the same nodes and
     weights.  Volume corrections integrate over the plain boolean node
     mask instead, on its node window.
+
+    plan, built on first use and then shared by every snapshot on the
+    region's grid and orbit, is the spline.SamplingPlan of the orbit
+    samples ("orbit") and the quadrature nodes ("nodes"): the fitted node
+    span, the slope operators and each point's cell and Hermite weights.
     """
 
     def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> None:
@@ -228,6 +236,11 @@ class OrbitRegion:
         self.nodes = ((x_min + np.outer(half, 1.0 + t)).ravel(), np.repeat(k, t.size))
         #: Quadrature weights of the nodes, oriented by the sign of the signed area.
         self.weights = (np.sign(np.sum(x * dk)) * np.outer(half * dk, gauss)).ravel()
+
+    @cached_property
+    def plan(self) -> SamplingPlan:
+        """Where every snapshot's splines are fitted and sampled: at the orbit samples and the nodes."""
+        return SamplingPlan(self.grid, orbit=(self.orbit.x, self.orbit.k), nodes=self.nodes)
 
     def integral(self, values: np.ndarray) -> float:
         """Integral over the enclosed region of a density sampled at the nodes."""
@@ -293,28 +306,35 @@ class Snapshot:
         return self._divs[key]
 
     @cached_property
+    def plan(self) -> SamplingPlan:
+        """Where W and Delta J_k are fitted and sampled: the region's plan when it covers this orbit."""
+        region, orbit = self.region, self.orbit
+        if region is not None and region.grid == self.w.grid and (orbit is None or orbit is region.orbit):
+            return region.plan
+        points = {} if orbit is None else {"orbit": (orbit.x, orbit.k)}
+        if region is not None:
+            points["nodes"] = region.nodes
+        return SamplingPlan(self.w.grid, **points)
+
+    @cached_property
     def w_spline(self) -> GridSpline:
-        """W's spline, fitted on the cells that the orbit samples and the region's nodes touch."""
-        reach = [(self.orbit.x, self.orbit.k)] if self.orbit is not None else []
-        if self.region is not None:
-            reach.append(self.region.nodes)
-        return GridSpline(self.w.grid, self.w.values, tuple(np.concatenate(axis) for axis in zip(*reach)))
+        """W's spline, fitted on the plan's span."""
+        return GridSpline(self.w.grid, self.w.values, self.plan)
 
     @cached_property
     def w_on(self) -> np.ndarray:
         """W at the orbit samples."""
-        return self.w_spline.ev(self.orbit.x, self.orbit.k)
+        return self.w_spline.at("orbit")
 
     @cached_property
     def dj_on(self) -> np.ndarray:
-        """Delta J_k at the orbit samples, from a spline fitted on the cells they touch."""
-        near = (self.orbit.x, self.orbit.k)
-        return GridSpline(self.w.grid, self.dj_k, near).ev(*near)
+        """Delta J_k at the orbit samples, from a spline fitted on the plan's span."""
+        return GridSpline(self.w.grid, self.dj_k, self.plan).at("orbit")
 
     @cached_property
     def region_w(self) -> np.ndarray:
         """W at the region's quadrature nodes."""
-        return self.w_spline.ev(*self.region.nodes)
+        return self.w_spline.at("nodes")
 
     def loop(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> float:
         """Loop flux of one row, rejected where an orbit sample lies outside its domain.
@@ -489,6 +509,29 @@ def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
     return (tau - dtau_fd, tau + dtau_fd)
 
 
+def sweep_states(phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float):
+    """Yield (time, state) for each distinct requested time, as propagate_states reaches it.
+
+    Holds only the running state and phi0, so a caller that uses each state
+    once never keeps more than those.
+    """
+    if not dtau_evolve > 0:
+        raise RejectionError(f"dtau_evolve must be positive, got {dtau_evolve}")
+    times, start = set(times), phi0.tau
+    for leg_times in (sorted(t for t in times if t >= start), sorted((t for t in times if t < start), reverse=True)):
+        phi, prev = phi0, start
+        for t in leg_times:
+            if t != prev:
+                n_steps = abs(t - prev) / dtau_evolve
+                if not np.isfinite(n_steps):
+                    raise RejectionError(f"the leg from tau={prev!r} to {t!r} needs a non-finite number of steps")
+                n_steps = max(1, int(round(n_steps)))
+                phi = evolve_wavefunction(phi, potential, (t - prev) / n_steps, n_steps)
+                phi.tau = t
+            yield t, phi
+            prev = t
+
+
 def propagate_states(
     phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float
 ) -> dict[float, Wavefunction]:
@@ -497,22 +540,11 @@ def propagate_states(
     Times >= phi0.tau are reached in ascending order from the running
     state and earlier times in descending order from phi0, each leg in
     max(1, round(|leg| / dtau_evolve)) equal steps, so the step count is
-    linear in the span of the times.  Each state is tagged with its
-    requested time, which is also its key.
+    linear in the span of the times; a leg whose step count is not finite
+    is rejected.  Each state is tagged with its requested time, which is
+    also its key.
     """
-    if not dtau_evolve > 0:
-        raise RejectionError(f"dtau_evolve must be positive, got {dtau_evolve}")
-    times, start = set(times), phi0.tau
-    out = {}
-    for leg_times in (sorted(t for t in times if t >= start), sorted((t for t in times if t < start), reverse=True)):
-        phi, prev = phi0, start
-        for t in leg_times:
-            if t != prev:
-                n_steps = max(1, int(round(abs(t - prev) / dtau_evolve)))
-                phi = evolve_wavefunction(phi, potential, (t - prev) / n_steps, n_steps)
-                phi.tau = t
-            out[t], prev = phi, t
-    return out
+    return dict(sweep_states(phi0, potential, times, dtau_evolve))
 
 
 def oracle_rates(
@@ -539,7 +571,9 @@ def oracle_rates(
             before, after = (snap.quantity(q, floor) for snap in pair)
             out[q.key] = (after - before) / (2.0 * dtau_fd)
         except RejectionError as exc:
-            out[q.key] = exc
+            # kept without its traceback: the traceback's frames reach this
+            # dict and both snapshots, a cycle only the garbage collector frees
+            out[q.key] = exc.with_traceback(None)
     return out
 
 
@@ -650,6 +684,9 @@ def period_accumulation(
                       by the row's factor: the independent reference for
                       `balance`.
 
+    The states are swept node by node (sweep_states) and each is
+    dropped once its snapshot is evaluated.
+
     Once nodal lines of W enter the region, the svn volume integrand
     W div(w) grows like 1/W near them and its node quadrature loses
     meaning; direct_change stays reliable and the reported deviation makes
@@ -667,9 +704,9 @@ def period_accumulation(
     rejected: dict[str, str] = {}
     ends: dict[int, dict] = {}  # region quantities at the first and last node
 
-    phis = propagate_states(evaluate_state(spec, cgrid, 0.0), potential, taus, dtau_evolve)
-    for j, tau_j in enumerate(taus):
-        snap = Snapshot(wigner_transform(phis[tau_j], pgrid), orbit, potential, nu_max, region)
+    states = sweep_states(evaluate_state(spec, cgrid, 0.0), potential, taus, dtau_evolve)
+    for j, (tau_j, phi) in enumerate(states):
+        snap = Snapshot(wigner_transform(phi, pgrid), orbit, potential, nu_max, region)
         blk = snap.block(betas, epsilon_entropy)
         # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
         i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size

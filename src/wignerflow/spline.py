@@ -24,7 +24,14 @@ pieces gives the cubic pieces of one axis.  GridSpline is the
 tensor-product spline of a field on a PhaseSpaceGrid, which is the s = 0
 bicubic interpolant of FITPACK's regrid: in each cell it is the bicubic
 Hermite polynomial of the corner values, x-slopes, k-slopes and cross
-slopes, each slope array a one-axis not-a-knot solve.
+slopes.  Slopes are linear in the values, so each axis has a slope
+operator, the matrix S with S @ y == slopes(y, h) up to rounding
+(slope_operator, built from slopes of the identity and cached per node
+count and spacing), and a fit is three matrix products with the two
+operators.  A SamplingPlan holds what does not depend on the field: the
+node span that the points to be sampled need, the operators, and each
+point's cell and Hermite weights; fields sampled at the same points, as
+every snapshot's W and Delta J_k are on an orbit, share one plan.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RejectionError
 from .grid import PhaseSpaceGrid
@@ -143,73 +151,151 @@ def pieces(values: np.ndarray, h: float) -> np.ndarray:
     return np.stack([t / h, (d - s[:-1]) / h - t, s[:-1], values[:-1]])
 
 
+@lru_cache(maxsize=16)
+def slope_operator(n: int, h: float) -> np.ndarray:
+    """The (n, n) matrix S with S @ y == slopes(y, h) up to rounding, read-only.
+
+    Column j is slopes of the j-th unit vector: the slopes are linear in
+    the values.  Built once per node count and spacing and shared between
+    calls.
+    """
+    s = slopes(np.eye(n), h)
+    s.flags.writeable = False
+    return s
+
+
 def _hermite_weights(u: np.ndarray) -> np.ndarray:
     """Cubic Hermite basis at cell coordinates u: [value_0, slope_0, value_1, slope_1] columns."""
     v = 1.0 - u
     return np.stack([(1.0 + 2.0 * u) * v * v, u * v * v, u * u * (3.0 - 2.0 * u), -u * u * v], axis=-1)
 
 
+def _node_span(points: np.ndarray, nodes: np.ndarray, h: float) -> slice:
+    """Nodes bounding every cell that holds one of the points."""
+    lo, hi = np.floor((np.array([np.min(points), np.max(points)]) - nodes[0]) / h)
+    lo, hi = (int(np.clip(c, 0, nodes.size - 2)) for c in (lo, hi))
+    return slice(lo, hi + 2)
+
+
+def _locate(points: np.ndarray, nodes: np.ndarray, h: float, span: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index within the span and Hermite weights of each point."""
+    points = np.asarray(points, dtype=float)
+    r = (points - nodes[0]) / h
+    lo, hi = span.start, span.stop - 1
+    if points.size and (r.min() < lo - 1e-9 or r.max() > hi + 1e-9):
+        raise RejectionError("spline sample outside the fitted cells")
+    cell = np.clip(np.floor(r).astype(np.intp), lo, hi - 1)
+    u = (points - nodes[cell]) / h
+    return cell - lo, _hermite_weights(u)
+
+
+class SamplingPlan:
+    """Where splines of fields on one grid are fitted and sampled, worked out once.
+
+    rows and cols are the node span of the fit: the nodes bounding every
+    cell that holds one of the named point sets, or the whole grid when
+    none is given.  s_x and s_k are the axes' slope operators, and located
+    holds, per point set, each point's cell within the span (its row-major
+    index) and its four x- and four k-Hermite weights.  Every field fitted
+    with the plan (W and Delta J_k of each snapshot) reuses all of it.
+    """
+
+    def __init__(self, grid: PhaseSpaceGrid, **points: tuple[np.ndarray, np.ndarray]) -> None:
+        self.grid = grid
+        self._x, self._k = grid.x, grid.k
+        if points:
+            xs, ks = (np.concatenate(axis) for axis in zip(*points.values()))
+            self.rows = _node_span(xs, self._x, grid.h_x)
+            self.cols = _node_span(ks, self._k, grid.h_k)
+        else:
+            self.rows, self.cols = slice(0, grid.n_x), slice(0, grid.n_k)
+        self.s_x = slope_operator(grid.n_x, grid.h_x)
+        self.s_k = slope_operator(grid.n_k, grid.h_k)
+        self.located = {name: self.locate(*p) for name, p in points.items()}
+
+    def locate(self, x, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cells within the span and x- and k-Hermite weights of the points (x[n], k[n])."""
+        i, wx = _locate(x, self._x, self.grid.h_x, self.rows)
+        j, wk = _locate(k, self._k, self.grid.h_k, self.cols)
+        return i * (self.cols.stop - self.cols.start - 1) + j, wx, wk
+
+
+#: Nodes per block of an axis in a GridSpline fit.  The slope-operator
+#: products run over a fixed lattice of blocks, so a node's slopes come from
+#: the same product, with the same shapes, whichever span is fitted.
+_FIT_BLOCK = 16
+
+
+def _aligned_blocks(span: slice, n: int) -> list[slice]:
+    """The blocks of the fixed _FIT_BLOCK lattice on an axis of n nodes that meet the span."""
+    first = span.start - span.start % _FIT_BLOCK
+    return [slice(s, min(s + _FIT_BLOCK, n)) for s in range(first, span.stop, _FIT_BLOCK)]
+
+
 class GridSpline:
     """Tensor-product not-a-knot bicubic spline of a field on a PhaseSpaceGrid.
 
-    Stored in Hermite form as one (2 n_x', 2 n_k') table whose rows
+    Built in Hermite form as one (2 n_x', 2 n_k') table whose rows
     interleave each x node's values and h_x-scaled x-slopes and whose
     columns interleave values and h_k-scaled k-slopes; the cell (i, j) reads
-    the 4 x 4 block at rows 2i.. and columns 2j...  With near = (x, k), the
-    table covers only the cells holding those points: the x-slopes still
-    come from one solve along x over the whole grid, and the k-slopes and
-    cross slopes are solved along k for the covered rows only.  Every solve
-    runs over a whole axis and columns are solved independently, so the
-    covered part equals the full fit's bit for bit.
+    the 4 x 4 block at rows 2i.. and columns 2j...  Each cell's block is
+    kept as one row of cells, so a sample gathers 16 contiguous numbers.
+    The table covers the span of a SamplingPlan: near is the plan, or the
+    points (x, k) to build one for, or None for the whole grid.
+
+    The slopes are matrix products with the plan's slope operators:
+    fx = S_x W, fk = W S_k^T and the cross slopes fxk = S_x fk, with fk
+    taken on every row.  Both axes are cut into the aligned blocks of
+    _FIT_BLOCK nodes, and only the blocks that meet the span are computed:
+    every block product has the same operands and shapes as in the full
+    fit, so the covered part equals the full fit's bit for bit, on any BLAS
+    whose products are deterministic.  A product over the span itself need
+    not be: BLAS picks its kernel, and so its summation order, by the
+    operand shapes, and on OpenBLAS 0.3.31 products of 2-4, 9-12 or 193 and
+    more columns (not a multiple of 8) differ from the full product in
+    their last bits.
     """
 
-    def __init__(self, grid: PhaseSpaceGrid, values: np.ndarray, near: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    def __init__(self, grid: PhaseSpaceGrid, values: np.ndarray, near: SamplingPlan | tuple | None = None) -> None:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise RejectionError(f"field shape {values.shape} does not match grid {grid.shape}")
-        self.grid = grid
-        self._x, self._k = grid.x, grid.k
-        if near is None:
-            rows, cols = slice(0, grid.n_x), slice(0, grid.n_k)
+        if isinstance(near, SamplingPlan):
+            plan = near
         else:
-            rows = self._node_span(near[0], self._x, grid.h_x)
-            cols = self._node_span(near[1], self._k, grid.h_k)
-        self._rows, self._cols = rows, cols
-        fx = slopes(values, grid.h_x)[rows]
-        fk = slopes(values[rows].T, grid.h_k).T
-        fxk = slopes(fx.T, grid.h_k).T
-        f = values[rows, cols]
-        table = np.empty((2 * f.shape[0], 2 * f.shape[1]))
-        table[0::2, 0::2] = f
-        table[1::2, 0::2] = grid.h_x * fx[:, cols]
-        table[0::2, 1::2] = grid.h_k * fk[:, cols]
-        table[1::2, 1::2] = (grid.h_x * grid.h_k) * fxk[:, cols]
-        self.table = table
+            plan = SamplingPlan(grid) if near is None else SamplingPlan(grid, near=near)
+        if plan.grid != grid:
+            raise RejectionError("the sampling plan belongs to another grid")
+        self.grid, self.plan = grid, plan
+        rows, cols = plan.rows, plan.cols
+        row_blocks, col_blocks = _aligned_blocks(rows, grid.n_x), _aligned_blocks(cols, grid.n_k)
+        top, left = row_blocks[0].start, col_blocks[0].start
+        fx, fk, fxk = [], [], []
+        for c in col_blocks:
+            # k-slopes on every row, since the cross slopes are their x-slopes
+            gk = values @ plan.s_k[c].T
+            fx.append(np.vstack([plan.s_x[r] @ values[:, c] for r in row_blocks]))
+            fk.append(gk[top : row_blocks[-1].stop])
+            fxk.append(np.vstack([plan.s_x[r] @ gk for r in row_blocks]))
+        span = (slice(rows.start - top, rows.stop - top), slice(cols.start - left, cols.stop - left))
+        fx, fk, fxk = (np.hstack(blocks)[span] for blocks in (fx, fk, fxk))
+        table = np.empty((2 * fx.shape[0], 2 * fx.shape[1]))
+        table[0::2, 0::2] = values[rows, cols]
+        table[1::2, 0::2] = grid.h_x * fx
+        table[0::2, 1::2] = grid.h_k * fk
+        table[1::2, 1::2] = (grid.h_x * grid.h_k) * fxk
+        #: The 4 x 4 block of each cell of the span, flattened, cells in row-major order.
+        self.cells = sliding_window_view(table, (4, 4))[::2, ::2].reshape(-1, 16)
 
-    @staticmethod
-    def _node_span(points: np.ndarray, nodes: np.ndarray, h: float) -> slice:
-        """Nodes bounding every cell that holds one of the points."""
-        lo, hi = np.floor((np.array([np.min(points), np.max(points)]) - nodes[0]) / h)
-        lo, hi = (int(np.clip(c, 0, nodes.size - 2)) for c in (lo, hi))
-        return slice(lo, hi + 2)
-
-    @staticmethod
-    def _locate(points: np.ndarray, nodes: np.ndarray, h: float, span: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Cell index within the span and Hermite weights of each point."""
-        points = np.asarray(points, dtype=float)
-        r = (points - nodes[0]) / h
-        lo, hi = span.start, span.stop - 1
-        if points.size and (r.min() < lo - 1e-9 or r.max() > hi + 1e-9):
-            raise RejectionError("spline sample outside the fitted cells")
-        cell = np.clip(np.floor(r).astype(np.intp), lo, hi - 1)
-        u = (points - nodes[cell]) / h
-        return cell - lo, _hermite_weights(u)
+    def _sample(self, cell: np.ndarray, wx: np.ndarray, wk: np.ndarray) -> np.ndarray:
+        """Values at points located in the cells with Hermite weights wx, wk."""
+        block = self.cells.take(cell, axis=0).reshape(-1, 4, 4)
+        return np.einsum("np,np->n", np.einsum("npq,nq->np", block, wk), wx)
 
     def ev(self, x, k) -> np.ndarray:
         """Spline values at the points (x[i], k[i])."""
-        i, wx = self._locate(x, self._x, self.grid.h_x, self._rows)
-        j, wk = self._locate(k, self._k, self.grid.h_k, self._cols)
-        width = self.table.shape[1]
-        corner = 2 * (i * width + j)
-        block = self.table.ravel().take(corner[:, None, None] + np.add.outer(np.arange(4) * width, np.arange(4)))
-        return np.einsum("np,np->n", np.einsum("npq,nq->np", block, wk), wx)
+        return self._sample(*self.plan.locate(x, k))
+
+    def at(self, name: str) -> np.ndarray:
+        """Spline values at the plan's point set of that name."""
+        return self._sample(*self.plan.located[name])

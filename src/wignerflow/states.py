@@ -59,11 +59,16 @@ class Wavefunction:
 
 @dataclass
 class WignerField:
-    """Real scalar field W(x, k; tau) on a phase-space grid."""
+    """Real scalar field W(x, k; tau) on a phase-space grid.
+
+    The values are not modified after construction: total() is computed
+    once and kept.
+    """
 
     values: np.ndarray
     grid: PhaseSpaceGrid
     tau: float = 0.0
+    _total: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -75,8 +80,10 @@ class WignerField:
             raise RejectionError("Wigner field contains non-finite values")
 
     def total(self) -> float:
-        """Quadrature of W over the full grid (1 for a normalized state)."""
-        return integrate_volume(self.grid, self.values)
+        """Quadrature of W over the full grid (1 for a normalized state), computed once per field."""
+        if self._total is None:
+            self._total = integrate_volume(self.grid, self.values)
+        return self._total
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,8 @@ class StateSpec:
             raise RejectionError(f"eigenstate index out of range: {self.n}")
         if self.kind == "superposition" and not self.terms:
             raise RejectionError("superposition needs at least one term")
+        if self.kind == "superposition" and all(c == 0 for c, _ in self.terms):
+            raise RejectionError("superposition coefficients are all zero")
 
 
 def harmonic_eigenstate(n: int) -> StateSpec:

@@ -15,6 +15,7 @@ import wignerflow
 from wignerflow import cli, fluxes
 from wignerflow.classical import solve_orbit
 from wignerflow.cli import main, parse_config
+from wignerflow.states import evaluate_state, wigner_transform
 
 #: A small but complete run: 64^2 phase grid, 512-node coordinate grid.
 SMALL = {
@@ -40,6 +41,12 @@ MALFORMED = {
     "two betas with one tag": {"beta_list": [2.0000001, 2.0000002]},
     "repeated beta": {"beta_list": [2, 2]},
     "unhashable potential kind": {"potential": {"kind": ["pure_quartic"]}},
+    "output time of a non-finite step count": {"output_times": [0.0, 1e308]},
+    "oracle leg of a non-finite step count": {"dtau": 1e-300, "dtau_fd": 1e300},
+    "boolean nu_max": {"nu_max": True},
+    "boolean x0": {"state": {"kind": "coherent", "x0": True, "k0": 0.5}},
+    "boolean beta": {"beta_list": [True]},
+    "all-zero superposition": {"state": {"kind": "superposition", "terms": [{"re": 0.0, "n": 0}, {"n": 1}]}},
 }
 
 
@@ -84,6 +91,27 @@ def test_malformed_value_in_a_process_prints_no_traceback(tmp_path):
     result = run_cli("--config", str(write_config(tmp_path, output_times=5)), "--out", str(tmp_path / "out"))
     assert result.returncode == 2
     assert_one_error_line(result.stderr, 2)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("nu_max", True, "nu_max must be a finite integer, got True"),
+    ("epsilon_entropy", False, "epsilon_entropy must be a finite number, got False"),
+    ("orbit", {"x0": True, "k0": 0.0}, "orbit.x0 must be a finite number, got True"),
+])
+def test_boolean_is_not_a_number(key, value, message):
+    # bool converts to 1 or 0, which used to run as nu_max = 1 or x0 = 1.0
+    with pytest.raises(wignerflow.ConfigError) as caught:
+        parse_config({**SMALL, key: value})
+    assert str(caught.value) == message
+
+
+def test_all_zero_superposition_in_a_process_prints_one_line(tmp_path):
+    # it used to print a numpy RuntimeWarning, then exit 3 from evaluate_state
+    state = {"kind": "superposition", "terms": [{"re": 0.0, "im": 0.0, "n": 2}]}
+    result = run_cli("--config", str(write_config(tmp_path, state=state)), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert_one_error_line(result.stderr, 2)
+    assert "coefficients are all zero" in result.stderr
 
 
 def test_missing_config_file_exits_4(tmp_path):
@@ -240,6 +268,23 @@ def test_orbit_csv_matches_the_row_by_row_writer(tmp_path):
     written = (tmp_path / "out" / "orbit.csv").read_bytes()
     assert written == reference.read_bytes()
     assert len(written.splitlines()) == 1 + config.orbit_samples
+
+
+def test_field_csv_matches_the_row_by_row_writer(tmp_path):
+    # the column-wise writer gives the same bytes as one repr(float) per node
+    config = parse_config({**SMALL, "output_times": [0.0]})
+    cli.run(config, tmp_path / "out", emit_fields=True)
+    w = wigner_transform(evaluate_state(config.state, config.coordinate_grid, 0.0), config.grid)
+    X, K = config.grid.meshes()
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["x", "k", "W"])
+        for xi, ki, wi in zip(X.ravel(), K.ravel(), w.values.ravel()):
+            wr.writerow([repr(float(xi)), repr(float(ki)), repr(float(wi))])
+    written = (tmp_path / "out" / "fields" / "W_0.000000.csv").read_bytes()
+    assert written == reference.read_bytes()
+    assert len(written.splitlines()) == 1 + config.grid.n_x * config.grid.n_k
 
 
 def test_orbit_dtau_is_validated_and_has_no_effect():

@@ -1,5 +1,6 @@
 """Loop fluxes, volume corrections, and the finite-difference oracle."""
 
+import gc
 import math
 import warnings
 from collections import Counter
@@ -7,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wignerflow import fluxes
+from wignerflow import fluxes, spline
 from wignerflow.classical import solve_orbit
 from wignerflow.errors import RejectionError
 from wignerflow.fluxes import (
@@ -29,7 +30,7 @@ from wignerflow.fluxes import (
     svn_flux,
     volume_term,
 )
-from wignerflow.grid import PhaseSpaceGrid, integrate_volume
+from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import div_w, wigner_current
 from wignerflow.observables import power_field
 from wignerflow.potentials import harmonic, pure_quartic
@@ -409,6 +410,24 @@ class TestOracle:
         assert len(deviations) == 6
         assert all(value == 0.0 for _, _, value in deviations), deviations
 
+    def test_rejected_rate_leaves_no_reference_cycle(self, pgrid, cgrid, quartic_orbit):
+        # The cat's W is negative inside the orbit, so the beta = 0.5 rate
+        # rejects.  Its exception used to keep the traceback whose frames
+        # reach the result and both oracle snapshots: a cycle that held two
+        # grid fields until the garbage collector ran.
+        region = OrbitRegion(quartic_orbit, pgrid)
+        states = propagate_states(evaluate_state(cat(1.5, 0.0), cgrid, 0.0), pure_quartic(), oracle_times(0.0, 1e-3), 1e-4)
+        gc.collect()
+        gc.disable()
+        try:
+            rates = oracle_rates(states, 0.0, region, (0.5,))
+            assert isinstance(rates["renyi_0.5"], RejectionError)
+            assert rates["renyi_0.5"].__traceback__ is None
+            del rates
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("dtau_fd", [0.0, -1e-3, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_dtau_fd_rejected(self, dtau_fd, pgrid, cgrid, quartic_orbit):
         # dtau_fd = 0 used to divide by zero, and -1e-3 returned the +1e-3 rate
@@ -433,6 +452,38 @@ class TestPeriodAccumulation:
         assert acc["renyi_2"]["balance"] == acc["purity"]["balance"]
         for key in ("sigma", "svn", "purity"):
             assert np.isfinite(acc[key]["time_consistent"])
+
+    def test_sampling_plan_is_built_once_per_orbit(self, monkeypatch, harmonic_orbit):
+        # the span, the slope operators, the cells and the Hermite weights
+        # depend on the orbit and the grid, not on the number of snapshots
+        pgrid, cgrid = PhaseSpaceGrid.centered(8.0, 8.0, 64, 64), CoordinateGrid(16.0, 512)
+        counts = Counter()
+
+        class CountingPlan(fluxes.SamplingPlan):
+            def __init__(self, *args, **kwargs):
+                counts["plans"] += 1
+                super().__init__(*args, **kwargs)
+
+        def weights(u, _weights=spline._hermite_weights):
+            counts["weights"] += 1
+            return _weights(u)
+
+        monkeypatch.setattr(fluxes, "SamplingPlan", CountingPlan)
+        monkeypatch.setattr(spline, "_hermite_weights", weights)
+        built = {}
+        for n_nodes in (8, 16):
+            counts.clear()
+            spline.slope_operator.cache_clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                period_accumulation(
+                    coherent(2.0, 0.0), harmonic(), harmonic_orbit, 2, (2.0,),
+                    pgrid=pgrid, cgrid=cgrid, n_nodes=n_nodes, dtau_evolve=1e-2,
+                )
+            built[n_nodes] = dict(counts, operators=spline.slope_operator.cache_info().misses)
+        # one plan of two point sets, each located on both axes; one
+        # operator, since the two axes have the same nodes
+        assert built[8] == built[16] == {"plans": 1, "weights": 4, "operators": 1}
 
 
 class TestSnapshotEvaluation:
@@ -585,6 +636,13 @@ class TestPropagateStates:
         states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 5e-4)
         with pytest.raises(RejectionError, match="no oracle state"):
             oracle_rates(states, 0.5, OrbitRegion(quartic_orbit, pgrid), ())
+
+    @pytest.mark.parametrize("times, dtau", [([1e308], 1e-3), ([1.0], 1e-320)])
+    def test_non_finite_step_count_rejected(self, cgrid, times, dtau):
+        # int(round(inf)) used to raise OverflowError
+        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
+        with pytest.raises(RejectionError, match="non-finite number of steps"):
+            propagate_states(phi0, pure_quartic(), times, dtau)
 
     def test_non_positive_step_rejected(self, cgrid):
         phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)

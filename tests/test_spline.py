@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wignerflow.errors import RejectionError
-from wignerflow.spline import GridSpline, pieces, slopes
+from wignerflow.grid import PhaseSpaceGrid
+from wignerflow.spline import GridSpline, SamplingPlan, pieces, slope_operator, slopes
 
 #: A binary spacing, so that every interval of the reference's node array
 #: is exactly h and the reference solves the same system as the module.
@@ -74,6 +75,22 @@ def test_columns_are_solved_independently():
         assert np.array_equal(together[:, j], slopes(block[:, j].copy(), H))
 
 
+@pytest.mark.parametrize("h", [1.0, H])
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [16, 17, 256])
+def test_slope_operator_applies_slopes(n, complex_values, h):
+    # a slope scales as 1/h, so the bound is 1e-14 max|y| per unit spacing
+    y = random_values(n, complex_values)
+    assert np.max(np.abs(slope_operator(n, h) @ y - slopes(y, h))) <= 1e-14 * np.max(np.abs(y)) / h
+
+
+def test_slope_operator_is_cached_and_read_only():
+    s = slope_operator(17, H)
+    assert slope_operator(17, H) is s
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_fewer_than_four_nodes_rejected(n):
     with pytest.raises(RejectionError, match="at least 4 nodes"):
@@ -101,3 +118,35 @@ class TestGridSpline:
         spline = GridSpline(w.grid, w.values, (quartic_orbit.x, quartic_orbit.k))
         with pytest.raises(RejectionError, match="outside the fitted cells"):
             spline.ev(np.array([3.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "first, width",
+    # spans that start on and off the fit's blocks, from the narrowest to
+    # nearly the whole axis; plain products over some of these widths
+    # (2-4, 9-12, >= 193) differ from the full product in their last bits
+    [(0, 2), (5, 3), (120, 4), (7, 9), (32, 12), (61, 40), (0, 193), (3, 200), (1, 255), (0, 256)],
+)
+def test_any_span_equals_the_full_fit(first, width):
+    grid = PhaseSpaceGrid.centered(8.0, 8.0, 256, 256)
+    values = np.random.default_rng(width).standard_normal(grid.shape)
+    corners = (grid.x[[first, first + width - 2]] + 0.5 * grid.h_x, grid.k[[first, first + width - 2]] + 0.5 * grid.h_k)
+    near = GridSpline(grid, values, corners).cells.reshape(width - 1, width - 1, 16)
+    full = GridSpline(grid, values).cells.reshape(255, 255, 16)
+    assert np.array_equal(near, full[first : first + width - 1, first : first + width - 1])
+
+
+def test_plan_samples_equal_located_samples(gaussian_w, quartic_orbit):
+    points = (quartic_orbit.x, quartic_orbit.k)
+    plan = SamplingPlan(gaussian_w.grid, orbit=points, shifted=(points[0] * 0.5, points[1]))
+    spline = GridSpline(gaussian_w.grid, gaussian_w.values, plan)
+    assert spline.plan is plan
+    assert np.array_equal(spline.at("orbit"), spline.ev(*points))
+    assert np.array_equal(spline.at("shifted"), spline.ev(points[0] * 0.5, points[1]))
+    assert np.array_equal(spline.at("orbit"), GridSpline(gaussian_w.grid, gaussian_w.values, points).ev(*points))
+
+
+def test_plan_of_another_grid_rejected(gaussian_w):
+    other = PhaseSpaceGrid.centered(8.0, 8.0, 128, 128)
+    with pytest.raises(RejectionError, match="another grid"):
+        GridSpline(gaussian_w.grid, gaussian_w.values, SamplingPlan(other))

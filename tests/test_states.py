@@ -111,6 +111,12 @@ class TestEvaluateState:
         with pytest.raises(RejectionError):
             StateSpec("squeezed")
 
+    @pytest.mark.parametrize("terms", [[(0.0, 0), (0j, 1)], [(-0.0, 3)]])
+    def test_superposition_of_zero_coefficients_rejected(self, terms):
+        # it used to normalize 0 / 0 with a RuntimeWarning and reject later
+        with pytest.raises(RejectionError, match="coefficients are all zero"):
+            superposition(terms)
+
 
 class TestWignerTransform:
     def test_ground_state_closed_form(self, ground_w, pgrid):
@@ -124,6 +130,18 @@ class TestWignerTransform:
         interpolate = pytest.importorskip("scipy.interpolate")
         spline = interpolate.RectBivariateSpline(pgrid.x, pgrid.k, excited_w.values)
         assert float(spline.ev(0.0, 0.0)) == pytest.approx(-1.0 / np.pi, abs=1e-5)
+
+    def test_total_is_computed_once_per_field(self, monkeypatch, pgrid):
+        calls = []
+
+        def counted(*args, _integrate=states.integrate_volume):
+            calls.append(args)
+            return _integrate(*args)
+
+        monkeypatch.setattr(states, "integrate_volume", counted)
+        w = states.WignerField(np.ones(pgrid.shape), pgrid)
+        assert w.total() == w.total() == pytest.approx(256.0, rel=1e-12)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("spec", CATALOG_SPECS, ids=lambda s: s.kind + str(s.n))
     def test_normalization_and_bound(self, spec, pgrid, cgrid):
