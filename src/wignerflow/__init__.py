@@ -7,18 +7,7 @@ periodic orbits.
 """
 
 from .classical import ClassicalOrbit, orbit_frame, period_quadrature, solve_orbit
-from .currents import (
-    CurrentField,
-    MaskedField,
-    MaskedVectorField,
-    continuity_residual,
-    current_k,
-    current_x,
-    delta_current,
-    div_w,
-    phase_velocity,
-    wigner_current,
-)
+from .currents import MaskedField, continuity_residual, delta_current, div_w
 from .errors import ConfigError, RejectionError, WignerFlowError
 from .fluxes import (
     OrbitRegion,

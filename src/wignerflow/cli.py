@@ -20,10 +20,10 @@ import numpy as np
 
 from . import fluxes as fx
 from .classical import solve_orbit
-from .currents import DEFAULT_NU_MAX
+from .currents import DEFAULT_NU_MAX, require_nu_max
 from .errors import ConfigError, RejectionError, WignerFlowError
-from .grid import MAX_DERIVATIVE_ORDER, CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
-from .observables import ENTROPY_FLOOR
+from .grid import CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
+from .observables import ENTROPY_FLOOR, require_beta
 from .potentials import CATALOG, PotentialModel
 from .states import StateSpec, evaluate_state, wigner_transform
 
@@ -200,13 +200,7 @@ def _parse(raw: dict) -> RunConfig:
     cgrid = CoordinateGrid(_number(csec, "x_max", "coordinate_grid", 16.0), _number(csec, "n", "coordinate_grid", 2048, int))
 
     nu_max = _number(raw, "nu_max", "top level", DEFAULT_NU_MAX, int)
-    if nu_max < 0:
-        raise ConfigError(f"nu_max must be >= 0, got {nu_max}")
-    if 2 * nu_max > MAX_DERIVATIVE_ORDER:
-        raise ConfigError(
-            f"nu_max={nu_max} needs k-derivatives of order {2 * nu_max}, "
-            f"beyond the supported maximum {MAX_DERIVATIVE_ORDER}"
-        )
+    require_nu_max(nu_max)
     epsilon_entropy = _number(raw, "epsilon_entropy", "top level", ENTROPY_FLOOR)
     if epsilon_entropy <= 0:
         raise ConfigError(f"epsilon_entropy must be positive, got {epsilon_entropy}")
@@ -219,10 +213,7 @@ def _parse(raw: dict) -> RunConfig:
     betas = tuple(_finite(b, "beta_list[]") for b in _list(raw.get("beta_list", (0.5, 2.0, 3.0)), "beta_list"))
     tagged = {}
     for b in betas:
-        if b == 1.0:
-            raise ConfigError("beta must differ from 1")
-        if b <= 0:
-            raise ConfigError(f"beta must be positive, got {b}")
+        require_beta(b)
         tag = fx.renyi(b).tag
         if tag in tagged:
             raise ConfigError(f"beta_list values {tagged[tag]!r} and {b!r} share the report tag {tag!r}")
@@ -287,10 +278,12 @@ def _parse(raw: dict) -> RunConfig:
         emit_fields=_flag(raw, "emit_fields", "top level"),
         echo=raw,
     )
-    # every leg is stepped: tau = 0 to t by dtau, t to t -/+ dtau_fd by the oracle's step
-    for t in times:
-        if not all(map(math.isfinite, (t / dtau, t + dtau_fd, dtau_fd / config.dtau_oracle))):
-            raise ConfigError(f"output time {t!r} needs a non-finite number of steps of dtau or dtau_fd / 2")
+    # every leg run() steps: from the previous output time (tau = 0 first)
+    # to t by dtau, and from t to t -/+ dtau_fd by the oracle's step
+    for prev, t in zip((0.0, *times), times):
+        fx.leg_steps(prev, t, dtau)
+        for s in fx.oracle_times(t, dtau_fd):
+            fx.leg_steps(t, s, config.dtau_oracle)
     return config
 
 

@@ -24,11 +24,13 @@ the volume term all read that rule from the row.  The svn and purity
 densities are the integrands of observables.von_neumann_entropy and
 observables.purity.
 
-Each Wigner snapshot is evaluated once: a Snapshot computes the current,
-Delta J_k, div(w), one bicubic spline of W (spline.GridSpline, sampled
-on the orbit and at the region's quadrature nodes) and one of Delta J_k
-(sampled on the orbit) at most once each, and every loop flux, volume
-term and region quantity of that snapshot is read from those samples.
+Each Wigner snapshot is evaluated once: a Snapshot computes Delta J_k
+(straight from the nu >= 1 series; no full current J is built), div(w) =
+d_k(Delta J_k / W) (two k-derivatives, none along x), one bicubic spline
+of W (spline.GridSpline, sampled on the orbit and at the region's
+quadrature nodes) and one of Delta J_k (sampled on the orbit) at most
+once each, and every loop flux, volume term and region quantity of that
+snapshot is read from those samples.
 What depends on the orbit and the grid alone is worked out once per
 orbit, not per snapshot: OrbitRegion's SamplingPlan holds the node span
 both splines are fitted on, the axes' slope operators that fit them, and
@@ -59,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .currents import DEFAULT_NU_MAX, CurrentField, MaskedField, delta_current, div_w, wigner_current
+from .currents import DEFAULT_NU_MAX, MaskedField, delta_current, div_w
 from .errors import RejectionError
 from .classical import ClassicalOrbit
 from .grid import CoordinateGrid, PhaseSpaceGrid, Window, integrate_volume, node_window
@@ -264,11 +266,13 @@ class VolumeTermResult:
 class Snapshot:
     """One Wigner snapshot and its derived fields, each computed at most once.
 
-    Fields are lazy: region quantities need only the region and never build
-    the current; loop fluxes need the orbit (checked to lie two cells inside
-    the grid) and the potential; volume terms need the potential and read
-    div(w), computed once per node window.  A snapshot holds several
-    grid-sized arrays, so keep it no longer than its time node.
+    Fields are lazy: region quantities need only the region and never sum
+    the current series; loop fluxes need the orbit (checked to lie two
+    cells inside the grid) and the potential, and read Delta J_k, the only
+    part of the current a snapshot builds; volume terms need the potential
+    and read div(w) = d_k(Delta J_k / W), computed once per node window
+    from Delta J_k and W alone.  A snapshot holds several grid-sized
+    arrays, so keep it no longer than its time node.
     """
 
     w: WignerField
@@ -290,19 +294,15 @@ class Snapshot:
             raise RejectionError("orbit leaves the safe grid interior (two-cell margin)")
 
     @cached_property
-    def current(self) -> CurrentField:
-        return wigner_current(self.w, self.potential, self.nu_max)
-
-    @cached_property
     def dj_k(self) -> np.ndarray:
-        """Delta J_k on the grid."""
-        return delta_current(self.current, self.w, self.potential).jk
+        """Delta J_k on the grid, summed from the nu >= 1 series."""
+        return delta_current(self.w, self.potential, self.nu_max)
 
     def div(self, window: Window) -> MaskedField:
-        """div(w) on a node window, computed once per window."""
+        """div(w) = d_k(Delta J_k / W) on a node window, computed once per window."""
         key = tuple((s.start, s.stop) for s in window)
         if key not in self._divs:
-            self._divs[key] = div_w(self.current, self.w, self.epsilon_mask, window)
+            self._divs[key] = div_w(self.w, self.dj_k, self.epsilon_mask, window)
         return self._divs[key]
 
     @cached_property
@@ -509,11 +509,36 @@ def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
     return (tau - dtau_fd, tau + dtau_fd)
 
 
+#: Most split steps one propagation leg may take: about 3 h at the ~110 us
+#: a step takes on a 2048-node coordinate grid (one core of a virtualised
+#: Xeon).  A larger count comes from a step that is tiny against its leg
+#: and would only keep the run from ending.
+MAX_LEG_STEPS = 10**8
+
+
+def leg_steps(start: float, end: float, dtau: float) -> int:
+    """Split steps of the leg from start to end at step dtau: max(1, round(|end - start| / dtau)).
+
+    Rejects a count that is not finite or exceeds MAX_LEG_STEPS.
+    """
+    steps = abs(end - start) / dtau
+    if not np.isfinite(steps):
+        raise RejectionError(f"the leg from tau={start!r} to {end!r} needs a non-finite number of steps")
+    steps = max(1, round(steps))
+    if steps > MAX_LEG_STEPS:
+        raise RejectionError(
+            f"the leg from tau={start!r} to {end!r} needs {steps:.3g} steps of {dtau!r}, "
+            f"more than the {MAX_LEG_STEPS:.0e} a leg may take"
+        )
+    return steps
+
+
 def sweep_states(phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float):
     """Yield (time, state) for each distinct requested time, as propagate_states reaches it.
 
     Holds only the running state and phi0, so a caller that uses each state
-    once never keeps more than those.
+    once never keeps more than those.  A leg's step count comes from
+    leg_steps, which rejects it before the leg's first step.
     """
     if not dtau_evolve > 0:
         raise RejectionError(f"dtau_evolve must be positive, got {dtau_evolve}")
@@ -522,10 +547,7 @@ def sweep_states(phi0: Wavefunction, potential: PotentialModel, times, dtau_evol
         phi, prev = phi0, start
         for t in leg_times:
             if t != prev:
-                n_steps = abs(t - prev) / dtau_evolve
-                if not np.isfinite(n_steps):
-                    raise RejectionError(f"the leg from tau={prev!r} to {t!r} needs a non-finite number of steps")
-                n_steps = max(1, int(round(n_steps)))
+                n_steps = leg_steps(prev, t, dtau_evolve)
                 phi = evolve_wavefunction(phi, potential, (t - prev) / n_steps, n_steps)
                 phi.tau = t
             yield t, phi
@@ -539,10 +561,10 @@ def propagate_states(
 
     Times >= phi0.tau are reached in ascending order from the running
     state and earlier times in descending order from phi0, each leg in
-    max(1, round(|leg| / dtau_evolve)) equal steps, so the step count is
-    linear in the span of the times; a leg whose step count is not finite
-    is rejected.  Each state is tagged with its requested time, which is
-    also its key.
+    leg_steps equal steps, max(1, round(|leg| / dtau_evolve)), so the step
+    count is linear in the span of the times; a leg whose step count is
+    not finite or above MAX_LEG_STEPS is rejected.  Each state is tagged
+    with its requested time, which is also its key.
     """
     return dict(sweep_states(phi0, potential, times, dtau_evolve))
 

@@ -165,7 +165,11 @@ def evaluate_state(spec: StateSpec, grid: CoordinateGrid, tau: float = 0.0) -> W
             x, -spec.x0, -spec.k0, tau
         )
     else:
-        coeffs = np.array([c for c, _ in spec.terms], dtype=complex)
+        # the real and imaginary parts are scaled to at most 1 in magnitude
+        # first, by real division, so neither the norm nor the quotient
+        # overflows for parts near the largest or smallest float
+        parts = np.array([c for c, _ in spec.terms], dtype=complex).view(float)
+        coeffs = (parts / np.max(np.abs(parts))).view(complex)
         coeffs = coeffs / np.linalg.norm(coeffs)
         values = np.zeros_like(x, dtype=complex)
         for c, n in zip(coeffs, (n for _, n in spec.terms)):

@@ -43,10 +43,18 @@ MALFORMED = {
     "unhashable potential kind": {"potential": {"kind": ["pure_quartic"]}},
     "output time of a non-finite step count": {"output_times": [0.0, 1e308]},
     "oracle leg of a non-finite step count": {"dtau": 1e-300, "dtau_fd": 1e300},
+    "output leg above the step guard": {"dtau": 1e-300},
     "boolean nu_max": {"nu_max": True},
     "boolean x0": {"state": {"kind": "coherent", "x0": True, "k0": 0.5}},
     "boolean beta": {"beta_list": [True]},
     "all-zero superposition": {"state": {"kind": "superposition", "terms": [{"re": 0.0, "n": 0}, {"n": 1}]}},
+}
+
+#: Configs that pass validation and are rejected in the run: changes and the stage that rejects them.
+REJECTED_IN_RUN = {
+    "accumulation leg above the step guard": (
+        {"accumulation": {"enabled": True, "time_nodes": 4, "dtau": 1e-300}}, "fluxes.period_accumulation",
+    ),
 }
 
 
@@ -78,6 +86,15 @@ def test_malformed_value_exits_2_with_one_error_line(changes, tmp_path, capsys):
     assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert_one_error_line(capsys.readouterr().err, 2)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("changes, stage", REJECTED_IN_RUN.values(), ids=REJECTED_IN_RUN.keys())
+def test_rejected_run_exits_3_with_one_error_line(changes, stage, tmp_path, capsys):
+    config = write_config(tmp_path, **changes)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err, 3)
+    assert f" message=[{stage}] " in err
 
 
 def test_string_section_is_named_not_spelled_out(tmp_path, capsys):

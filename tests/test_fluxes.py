@@ -31,7 +31,7 @@ from wignerflow.fluxes import (
     volume_term,
 )
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
-from wignerflow.currents import div_w, wigner_current
+from wignerflow.currents import delta_current, div_w
 from wignerflow.observables import power_field
 from wignerflow.potentials import harmonic, pure_quartic
 from wignerflow.states import WignerField, cat, coherent, evaluate_state, evolve_wavefunction, wigner_transform
@@ -45,7 +45,7 @@ def whole_grid_volume(w, pot, mask, weight):
     Returns the value, the masked-node count and the integral of the
     integrand's magnitude, the scale of the sum's rounding.
     """
-    dv = div_w(wigner_current(w, pot, 2), w)
+    dv = div_w(w, delta_current(w, pot, 2))
     if weight == "one":
         factor = w.values
     elif weight == "w":
@@ -256,7 +256,7 @@ class TestVolumeTerm:
         mask = orbit_interior_mask(quartic_orbit, pgrid)
         w = offset_gaussian_w
         pot = pure_quartic()
-        dv = div_w(wigner_current(w, pot, 2), w)
+        dv = div_w(w, delta_current(w, pot, 2))
         keep = dv.valid & mask
         ref_one = integrate_volume(pgrid, w.values * dv.values, mask=keep)
         ref_w = integrate_volume(pgrid, w.values**2 * dv.values, mask=keep)
@@ -328,7 +328,7 @@ class TestVolumeTerm:
             return wrapper
 
         bounds = lambda window: tuple((s.start, s.stop) for s in window)  # noqa: E731
-        monkeypatch.setattr(fluxes, "div_w", recorded("div_w", div_w, lambda j, w, eps, window: bounds(window)))
+        monkeypatch.setattr(fluxes, "div_w", recorded("div_w", div_w, lambda w, dj, eps, window: bounds(window)))
         monkeypatch.setattr(fluxes, "power_field", recorded("power", power_field, lambda v, *rest: v.shape))
         monkeypatch.setattr(
             fluxes, "integrate_volume", recorded("sum", integrate_volume, lambda g, v, mask, window: v.shape)
@@ -557,7 +557,7 @@ class TestSnapshotEvaluation:
             return wrapper
 
         monkeypatch.setattr(fluxes, "GridSpline", CountingSpline)
-        for name in ("wigner_current", "delta_current", "div_w", "wigner_transform"):
+        for name in ("delta_current", "div_w", "wigner_transform"):
             monkeypatch.setattr(fluxes, name, counted(name, getattr(fluxes, name)))
         return counts
 
@@ -566,7 +566,6 @@ class TestSnapshotEvaluation:
         counts = self._count_work(monkeypatch)
         instantaneous_block(offset_gaussian_w, quartic_orbit, pure_quartic(), 2, BETAS, region=region)
         assert counts["fits"] <= 2
-        assert counts["wigner_current"] == 1
         assert counts["delta_current"] == 1
         assert counts["div_w"] == 1
 
@@ -578,7 +577,7 @@ class TestSnapshotEvaluation:
         oracle_rates(states, 0.0, region, BETAS)
         assert counts["wigner_transform"] == 2
         assert counts["fits"] == 2
-        assert counts["wigner_current"] == 0
+        assert counts["delta_current"] == 0
 
 
 class TestPropagateStates:
@@ -643,6 +642,16 @@ class TestPropagateStates:
         phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
         with pytest.raises(RejectionError, match="non-finite number of steps"):
             propagate_states(phi0, pure_quartic(), times, dtau)
+
+    def test_step_count_above_the_guard_rejected(self, monkeypatch, cgrid):
+        # 1e-300 used to pass as a finite count of 2.5e299 steps, and the sweep never ended
+        monkeypatch.setattr(fluxes, "evolve_wavefunction", lambda *args: pytest.fail("a split step ran"))
+        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
+        with pytest.raises(RejectionError, match=r"needs 2.5e\+299 steps of 1e-300, more than the 1e\+08"):
+            propagate_states(phi0, pure_quartic(), [0.25], 1e-300)
+        assert fluxes.leg_steps(0.0, 1.0, 1.0 / fluxes.MAX_LEG_STEPS) == fluxes.MAX_LEG_STEPS
+        with pytest.raises(RejectionError, match="a leg may take"):
+            fluxes.leg_steps(0.0, 1.0, 1.0 / (fluxes.MAX_LEG_STEPS + 1))
 
     def test_non_positive_step_rejected(self, cgrid):
         phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)

@@ -111,6 +111,14 @@ class TestEvaluateState:
         with pytest.raises(RejectionError):
             StateSpec("squeezed")
 
+    @pytest.mark.parametrize("coeff", [1e308 + 1e308j, 1.7e308 - 1.7e308j, 1e-320])
+    def test_superposition_of_extreme_coefficients_is_its_state(self, coeff, cgrid):
+        # the squared norm of 1e308 + 1e308j used to overflow with a
+        # RuntimeWarning and the state to evaluate to zero
+        phi = evaluate_state(superposition([(coeff, 0)]), cgrid)
+        ground = evaluate_state(harmonic_eigenstate(0), cgrid)
+        assert np.max(np.abs(np.abs(phi.values) - np.abs(ground.values))) < 1e-12
+
     @pytest.mark.parametrize("terms", [[(0.0, 0), (0j, 1)], [(-0.0, 3)]])
     def test_superposition_of_zero_coefficients_rejected(self, terms):
         # it used to normalize 0 / 0 with a RuntimeWarning and reject later
