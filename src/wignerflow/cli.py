@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -370,7 +370,17 @@ def _write_columns(path: Path, header: list[str], blocks) -> None:
 
 
 def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet: bool = True) -> Path:
-    """Execute one configured run and write report.json, fluxes.csv, orbit.csv."""
+    """Execute one configured run and write report.json, fluxes.csv, orbit.csv.
+
+    The output states come from fluxes.sweep_ahead, which takes the split
+    steps beside the snapshots, and each output time's snapshot and oracle
+    are evaluated as soon as its state arrives.  So the first rejection in
+    time order is the one reported: a snapshot or oracle rejection at an
+    output time comes before a propagation rejection
+    ([states.evolve_wavefunction]) of any later leg, and the accumulation
+    sweep starts after the last output time.  Any rejection ends the run
+    with one RejectionError, tagged with its stage.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit = emit_fields or config.emit_fields
@@ -395,33 +405,39 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
     field_files = []
     with _stage("states.evaluate_state"):
         phi0 = evaluate_state(config.state, config.coordinate_grid, 0.0)
-    with _stage("states.evolve_wavefunction"):
-        phis = fx.propagate_states(phi0, config.potential, config.output_times, config.dtau)
-    # The oracle's states at tau -/+ dtau_fd branch off the state at tau
-    # whose fluxes they check, at config.dtau_oracle.
-
-    for t in config.output_times:
-        with _stage("states.wigner_transform"):
-            w = wigner_transform(phis[t], config.grid)
-        with _stage("fluxes.instantaneous"):
-            blk = fx.instantaneous_block(
-                w, orbit, config.potential, config.nu_max, config.beta_list,
-                config.epsilon_entropy, config.epsilon_mask, region,
-            )
-        with _stage("fluxes.oracle"):
-            oracle_phis = fx.propagate_states(
-                phis[t], config.potential, fx.oracle_times(t, config.dtau_fd), config.dtau_oracle
-            )
-            fx.attach_oracles(blk, oracle_phis, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
-        blocks.append(blk)
-        say(f"tau={t:g}: sigma={blk['sigma']['loop']:.3e} (dev {blk['sigma']['rel_dev']:.2%})")
-        if emit:
-            fdir = out / "fields"
-            fdir.mkdir(exist_ok=True)
-            X, K = config.grid.meshes()
-            path = fdir / f"W_{t:.6f}.csv"
-            _write_columns(path, ["x", "k", "W"], zip(X, K, w.values))
-            field_files.append(path.name)
+    # The output states stream in as the sweep reaches them, one per
+    # distinct time; a repeated time reuses the state before it.  The
+    # oracle's states at tau -/+ dtau_fd branch off the state at tau whose
+    # fluxes they check, at config.dtau_oracle.
+    with closing(fx.sweep_ahead(phi0, config.potential, config.output_times, config.dtau)) as states:
+        reached = None
+        for t in config.output_times:
+            if t != reached:
+                with _stage("states.evolve_wavefunction"):
+                    reached, phi = next(states)
+            with _stage("states.wigner_transform"):
+                w = wigner_transform(phi, config.grid)
+            with _stage("fluxes.instantaneous"):
+                blk = fx.instantaneous_block(
+                    w, orbit, config.potential, config.nu_max, config.beta_list,
+                    config.epsilon_entropy, config.epsilon_mask, region,
+                )
+            with _stage("fluxes.oracle"):
+                oracle_phis = fx.propagate_states(
+                    phi, config.potential, fx.oracle_times(t, config.dtau_fd), config.dtau_oracle
+                )
+                fx.attach_oracles(blk, oracle_phis, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
+            blocks.append(blk)
+            say(f"tau={t:g}: sigma={blk['sigma']['loop']:.3e} (dev {blk['sigma']['rel_dev']:.2%})")
+            if emit:
+                fdir = out / "fields"
+                fdir.mkdir(exist_ok=True)
+                X, K = config.grid.meshes()
+                path = fdir / f"W_{t:.6f}.csv"
+                _write_columns(path, ["x", "k", "W"], zip(X, K, w.values))
+                field_files.append(path.name)
+        with _stage("states.evolve_wavefunction"):
+            next(states, None)  # the sweep's end, so that its worker exits of itself
 
     accumulated = None
     if config.accumulate:

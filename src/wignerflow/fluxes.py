@@ -50,12 +50,23 @@ spectral propagator each way, so the difference measures the flux
 formulas and not the main run's time-step error.  The oracle never
 touches the current series or its truncation order; that independence
 is what lets it adjudicate the loop formulas.
+
+The run's own trajectory, the states at the output times and at the
+period nodes, comes from sweep_ahead: where the process may use two or
+more CPUs it forks a worker that takes the split steps of sweep_states
+while this process evaluates the snapshots of the states already
+reached, and it streams each state through a pipe.  The worker runs the
+same code on the same inputs, and a state crosses the pipe as its exact
+bytes, so every output is the same bit for bit on either path.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import warnings
 from collections.abc import Callable
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -538,7 +549,9 @@ def sweep_states(phi0: Wavefunction, potential: PotentialModel, times, dtau_evol
 
     Holds only the running state and phi0, so a caller that uses each state
     once never keeps more than those.  A leg's step count comes from
-    leg_steps, which rejects it before the leg's first step.
+    leg_steps, which rejects it before the leg's first step.  This is the
+    one sweep: sweep_ahead runs it in a forked worker or in-process, and
+    propagate_states collects it.
     """
     if not dtau_evolve > 0:
         raise RejectionError(f"dtau_evolve must be positive, got {dtau_evolve}")
@@ -552,6 +565,105 @@ def sweep_states(phi0: Wavefunction, potential: PotentialModel, times, dtau_evol
                 phi.tau = t
             yield t, phi
             prev = t
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one, else all."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _sweep_worker(out, phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float) -> None:
+    """The forked worker's whole work: sweep_states, each state pickled to out, then one last message."""
+    try:
+        for t, phi in sweep_states(phi0, potential, times, dtau_evolve):
+            pickle.dump(("state", t, phi.tau, phi.values), out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
+        last = ("end",)
+    except RejectionError as exc:
+        last = ("rejected", str(exc))
+    except Exception:
+        import traceback  # only a failing worker formats a traceback
+
+        last = ("failed", traceback.format_exc())
+    pickle.dump(last, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()
+
+
+def sweep_ahead(phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float):
+    """sweep_states, with its split steps taken in a forked worker while the caller uses the states.
+
+    Yields the same (time, state) pairs, in the same order, as
+    sweep_states(phi0, potential, times, dtau_evolve).  On its first
+    next() it forks a child that runs sweep_states and nothing else.  The
+    child writes one pickled message per state to an os.pipe,
+    ("state", t, tau, values), and then one last message: ("end",),
+    ("rejected", message) or ("failed", traceback).  The parent rebuilds
+    each state as Wavefunction(values, phi0.grid, tau) and yields it; a
+    rejection is raised as a RejectionError with the child's message
+    unchanged, and any other failure, or a child that dies before its last
+    message, as a RuntimeError.  A state is its exact bytes on both sides
+    of the pipe, and the child steps the same input with the same code, so
+    the stream equals the in-process sweep bit for bit.
+
+    The pipe's buffer (64 KB on Linux, about two states of a 2048-node
+    grid) bounds the child's lead: it blocks on its write until the
+    consumer reads, so it is never more than about two states ahead.  The
+    child ends by os._exit in a finally: it never returns into the
+    caller's frames and never flushes stdio inherited from the parent.
+    When the stream ends, raises or is closed, the parent kills a child
+    that has not sent its last message and reaps it, so no process
+    outlives the stream; a consumer that stops early should close it
+    (contextlib.closing) rather than leave that to the garbage collector.
+
+    The worker runs only when this process may use two or more CPUs and
+    os.fork succeeds; otherwise sweep_states runs in-process, which with
+    one CPU is faster than two processes taking turns on it.
+    """
+    if _usable_cpus() < 2 or not hasattr(os, "fork"):
+        yield from sweep_states(phi0, potential, times, dtau_evolve)
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        yield from sweep_states(phi0, potential, times, dtau_evolve)
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                _sweep_worker(out, phi0, potential, times, dtau_evolve)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    ended = False
+    try:
+        with os.fdopen(read_fd, "rb") as stream:
+            while True:
+                try:
+                    kind, *body = pickle.load(stream)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise RuntimeError(f"the sweep worker (pid {pid}) ended before its last message") from exc
+                if kind != "state":
+                    break
+                t, tau, values = body
+                yield t, Wavefunction(values, phi0.grid, tau)
+        ended = True
+        if kind == "rejected":
+            raise RejectionError(body[0])
+        if kind == "failed":
+            raise RuntimeError(f"the sweep worker (pid {pid}) failed:\n{body[0]}")
+    finally:
+        if not ended:
+            import signal  # only a stream stopped early kills its worker
+
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def propagate_states(
@@ -706,8 +818,9 @@ def period_accumulation(
                       by the row's factor: the independent reference for
                       `balance`.
 
-    The states are swept node by node (sweep_states) and each is
-    dropped once its snapshot is evaluated.
+    The states are swept node by node (sweep_ahead, so the split steps
+    run beside the snapshots) and each is dropped once its snapshot is
+    evaluated.
 
     Once nodal lines of W enter the region, the svn volume integrand
     W div(w) grows like 1/W near them and its node quadrature loses
@@ -726,26 +839,26 @@ def period_accumulation(
     rejected: dict[str, str] = {}
     ends: dict[int, dict] = {}  # region quantities at the first and last node
 
-    states = sweep_states(evaluate_state(spec, cgrid, 0.0), potential, taus, dtau_evolve)
-    for j, (tau_j, phi) in enumerate(states):
-        snap = Snapshot(wigner_transform(phi, pgrid), orbit, potential, nu_max, region)
-        blk = snap.block(betas, epsilon_entropy)
-        # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
-        i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
-        w_pt, dj_pt, vx_pt = float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]
+    with closing(sweep_ahead(evaluate_state(spec, cgrid, 0.0), potential, taus, dtau_evolve)) as states:
+        for j, (tau_j, phi) in enumerate(states):
+            snap = Snapshot(wigner_transform(phi, pgrid), orbit, potential, nu_max, region)
+            blk = snap.block(betas, epsilon_entropy)
+            # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
+            i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
+            w_pt, dj_pt, vx_pt = float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]
 
-        for q in rows:
-            entry = q.entry(blk)
-            if j == 0:
-                frozen[q.key] = entry.get("loop", float("nan"))
-            if "full" in entry:
-                inst[q.key].append(entry["full"])
-            else:
-                rejected.setdefault(q.key, entry.get("rejected", entry.get("volume_term_rejected", "")))
-                inst[q.key].append(np.nan)
-            diag[q.key].append(_diagonal_sample(q, w_pt, dj_pt, vx_pt, epsilon_entropy))
-        if j in (0, n_nodes):
-            ends[j] = _region_quantities(snap, rows, epsilon_entropy)
+            for q in rows:
+                entry = q.entry(blk)
+                if j == 0:
+                    frozen[q.key] = entry.get("loop", float("nan"))
+                if "full" in entry:
+                    inst[q.key].append(entry["full"])
+                else:
+                    rejected.setdefault(q.key, entry.get("rejected", entry.get("volume_term_rejected", "")))
+                    inst[q.key].append(np.nan)
+                diag[q.key].append(_diagonal_sample(q, w_pt, dj_pt, vx_pt, epsilon_entropy))
+            if j in (0, n_nodes):
+                ends[j] = _region_quantities(snap, rows, epsilon_entropy)
 
     out: dict = {"period": T, "n_nodes": n_nodes}
     start, end = ends[0], ends[n_nodes]

@@ -163,9 +163,33 @@ def test_small_run_writes_strict_json_and_one_row_per_time(tmp_path):
     assert [float(row[0]) for row in rows[1:]] == SMALL["output_times"]
 
 
+def test_repeated_output_time_repeats_its_block_and_row(tmp_path):
+    # the sweep reaches tau = 0.25 once; both blocks are made from that state
+    config = write_config(tmp_path, output_times=[0.0, 0.25, 0.25])
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
+    blocks = json.loads((out / "report.json").read_text(encoding="utf-8"))["times"]
+    assert [blk["tau"] for blk in blocks] == [0.0, 0.25, 0.25]
+    assert blocks[1] == blocks[2]
+    assert blocks[0] != blocks[1]
+    with (out / "fluxes.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 4
+    assert rows[2] == rows[3]
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    """Make the process look like it may use n CPUs; with one, every sweep runs in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 def test_oracle_states_branch_off_each_output_time(tmp_path, monkeypatch):
     # 500 main-loop steps and 2 + 2 oracle steps (dtau_fd at dtau_fd / 2
-    # each way) from each of the 3 output times: 500 + 3 * 4 = 512
+    # each way) from each of the 3 output times: 500 + 3 * 4 = 512.  The
+    # main sweep runs in-process so that its steps are counted here; a
+    # forked worker takes the same steps (tests/test_sweep_ahead.py).
+    usable_cpus(monkeypatch, 1)
     steps = []
     for module in (m for m in (cli, fluxes) if hasattr(m, "evolve_wavefunction")):
         def counted(phi, potential, dtau, n, _evolve=module.evolve_wavefunction):
@@ -181,7 +205,11 @@ def test_oracle_states_branch_off_each_output_time(tmp_path, monkeypatch):
 
 
 def run_recording_states(tmp_path, monkeypatch, dtau):
-    """cli.run of SMALL at [0, 0.5]: its config, report, propagate_states calls and oracle regions."""
+    """cli.run of SMALL at [0, 0.5]: its config, report, sweeps and oracle regions.
+
+    The sweeps are the main sweep_ahead stream, recorded as a map of time
+    to state, and then each propagate_states call, in call order.
+    """
     sweeps, regions = [], []
 
     def recorded(phi0, potential, times, dtau_evolve, _propagate=fluxes.propagate_states):
@@ -189,11 +217,22 @@ def run_recording_states(tmp_path, monkeypatch, dtau):
         sweeps.append((phi0, states))
         return states
 
+    def streamed(phi0, potential, times, dtau_evolve, _sweep=fluxes.sweep_ahead):
+        states = {}
+        sweeps.append((phi0, states))
+
+        def stream():
+            for t, phi in _sweep(phi0, potential, times, dtau_evolve):
+                states[t] = phi
+                yield t, phi
+        return stream()
+
     def attach(block, states, region, *args, _attach=fluxes.attach_oracles):
         regions.append(region)
         return _attach(block, states, region, *args)
 
     monkeypatch.setattr(fluxes, "propagate_states", recorded)
+    monkeypatch.setattr(fluxes, "sweep_ahead", streamed)
     monkeypatch.setattr(fluxes, "attach_oracles", attach)
     config = parse_config({**SMALL, "output_times": [0.0, 0.5], "dtau": dtau})
     out = cli.run(config, tmp_path / f"out-{dtau:g}")
