@@ -16,7 +16,6 @@ from .fluxes import (
     oracle_times,
     orbit_interior_mask,
     period_accumulation,
-    propagate_states,
     purity_flux,
     quantities,
     renyi_flux,
@@ -44,6 +43,7 @@ from .observables import (
 )
 from .potentials import PotentialModel, double_well, harmonic, pure_quartic, quartic_perturbed
 from .states import (
+    EigenPropagator,
     StateSpec,
     Wavefunction,
     WignerField,

@@ -171,7 +171,13 @@ def solve_orbit(
         if np.max(np.abs(c[n // 4 :])) <= QUADRATURE_TOL * np.max(g):
             break
     else:
-        raise RejectionError(f"{no_period}: the period quadrature did not converge")
+        # a root of r near [x_l, x_r] is a near-pinch of E - u: a saddle just below E
+        roots = np.polynomial.polynomial.polyroots(r)
+        gap = np.min(np.abs(roots - np.clip(roots.real, x_l, x_r)), initial=np.inf)
+        raise RejectionError(
+            f"{no_period}: the period quadrature did not converge; the start lies near a separatrix, "
+            f"with r(x)'s nearest complex root {gap:.3g} from [x_l, x_r] = [{x_l:.6g}, {x_r:.6g}]"
+        )
     period = 2.0 * np.pi * float(c[0].real)
     if period > tau_limit:
         raise RejectionError(f"{no_period}: period {period:.6g}")

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from .errors import ConfigError, RejectionError, WignerFlowError
 from .grid import CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
 from .observables import ENTROPY_FLOOR, require_beta
 from .potentials import CATALOG, PotentialModel
-from .states import StateSpec, evaluate_state, wigner_transform
+from .states import EigenPropagator, StateSpec, evaluate_state, require_time, wigner_transform
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,19 +61,12 @@ class RunConfig:
     orbit_start: tuple[float, float]
     orbit_samples: int
     orbit_tau_limit: float
-    dtau: float
     dtau_fd: float
     output_times: tuple[float, ...]
     accumulate: bool
     accumulation_nodes: int
-    accumulation_dtau: float
     emit_fields: bool
     echo: dict = field(default_factory=dict)
-
-    @property
-    def dtau_oracle(self) -> float:
-        """Step of the oracle's branches at tau -/+ dtau_fd: dtau, or dtau_fd / 2 if that is finer."""
-        return min(self.dtau, self.dtau_fd / 2)
 
 
 _MISSING = object()
@@ -149,6 +142,9 @@ def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document against every module precondition.
 
     A module that rejects a configured value reports it as a ConfigError.
+    The time steps dtau, accumulation.dtau, units.dt and orbit.dtau are
+    validated and have no effect: every state comes from one eigen
+    expansion, with no time step.
     """
     try:
         return _parse(raw)
@@ -234,7 +230,7 @@ def _parse(raw: dict) -> RunConfig:
     if grad <= 1e-12:
         raise ConfigError(f"orbit start ({x0}, {k0}) is an equilibrium point")
 
-    dtau = _number(raw, "dtau", "top level", 1e-3)
+    dtau = _number(raw, "dtau", "top level", 1e-3)  # validated only: no state takes a time step
     dtau_fd = _number(raw, "dtau_fd", "top level", 1e-3)
     if "dt" in units:
         dtau = umap.tau_from_t(_number(units, "dt", "units"))
@@ -253,7 +249,7 @@ def _parse(raw: dict) -> RunConfig:
     acc = _section(raw, "accumulation", _ACC_KEYS)
     accumulate = _flag(acc, "enabled", "accumulation")
     acc_nodes = _number(acc, "time_nodes", "accumulation", 32, int)
-    acc_dtau = _number(acc, "dtau", "accumulation", dtau)
+    acc_dtau = _number(acc, "dtau", "accumulation", dtau)  # validated only, as dtau
     if accumulate and (acc_nodes < 4 or acc_dtau <= 0):
         raise ConfigError("accumulation needs time_nodes >= 4 and a positive dtau")
 
@@ -269,21 +265,17 @@ def _parse(raw: dict) -> RunConfig:
         orbit_start=(x0, k0),
         orbit_samples=orbit_samples,
         orbit_tau_limit=orbit_tau_limit,
-        dtau=dtau,
         dtau_fd=dtau_fd,
         output_times=times,
         accumulate=accumulate,
         accumulation_nodes=acc_nodes,
-        accumulation_dtau=acc_dtau,
         emit_fields=_flag(raw, "emit_fields", "top level"),
         echo=raw,
     )
-    # every leg run() steps: from the previous output time (tau = 0 first)
-    # to t by dtau, and from t to t -/+ dtau_fd by the oracle's step
-    for prev, t in zip((0.0, *times), times):
-        fx.leg_steps(prev, t, dtau)
-        for s in fx.oracle_times(t, dtau_fd):
-            fx.leg_steps(t, s, config.dtau_oracle)
+    # every time run() asks the propagator for: the output times and their oracle times
+    for t in times:
+        for s in (t, *fx.oracle_times(t, dtau_fd)):
+            require_time(s, cgrid)
     return config
 
 
@@ -372,14 +364,14 @@ def _write_columns(path: Path, header: list[str], blocks) -> None:
 def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet: bool = True) -> Path:
     """Execute one configured run and write report.json, fluxes.csv, orbit.csv.
 
-    The output states come from fluxes.sweep_ahead, which takes the split
-    steps beside the snapshots, and each output time's snapshot and oracle
-    are evaluated as soon as its state arrives.  So the first rejection in
-    time order is the one reported: a snapshot or oracle rejection at an
-    output time comes before a propagation rejection
-    ([states.evolve_wavefunction]) of any later leg, and the accumulation
-    sweep starts after the last output time.  Any rejection ends the run
-    with one RejectionError, tagged with its stage.
+    Every state comes from one states.EigenPropagator, built from the
+    initial state and the potential before the first snapshot: the output
+    states, the oracle's states at tau -/+ dtau_fd and the accumulation's
+    nodes.  The stages run in this order, and the first rejection ends the
+    run with one RejectionError tagged with its stage: the orbit, its
+    region, the initial state, the propagator (a non-finite potential or
+    an under-resolved state), then per output time in ascending order its
+    state, transform, block and oracle, and last the period accumulation.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -405,48 +397,37 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
     field_files = []
     with _stage("states.evaluate_state"):
         phi0 = evaluate_state(config.state, config.coordinate_grid, 0.0)
-    # The output states stream in as the sweep reaches them, one per
-    # distinct time; a repeated time reuses the state before it.  The
-    # oracle's states at tau -/+ dtau_fd branch off the state at tau whose
-    # fluxes they check, at config.dtau_oracle.
-    with closing(fx.sweep_ahead(phi0, config.potential, config.output_times, config.dtau)) as states:
-        reached = None
-        for t in config.output_times:
-            if t != reached:
-                with _stage("states.evolve_wavefunction"):
-                    reached, phi = next(states)
-            with _stage("states.wigner_transform"):
-                w = wigner_transform(phi, config.grid)
-            with _stage("fluxes.instantaneous"):
-                blk = fx.instantaneous_block(
-                    w, orbit, config.potential, config.nu_max, config.beta_list,
-                    config.epsilon_entropy, config.epsilon_mask, region,
-                )
-            with _stage("fluxes.oracle"):
-                oracle_phis = fx.propagate_states(
-                    phi, config.potential, fx.oracle_times(t, config.dtau_fd), config.dtau_oracle
-                )
-                fx.attach_oracles(blk, oracle_phis, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
-            blocks.append(blk)
-            say(f"tau={t:g}: sigma={blk['sigma']['loop']:.3e} (dev {blk['sigma']['rel_dev']:.2%})")
-            if emit:
-                fdir = out / "fields"
-                fdir.mkdir(exist_ok=True)
-                X, K = config.grid.meshes()
-                path = fdir / f"W_{t:.6f}.csv"
-                _write_columns(path, ["x", "k", "W"], zip(X, K, w.values))
-                field_files.append(path.name)
-        with _stage("states.evolve_wavefunction"):
-            next(states, None)  # the sweep's end, so that its worker exits of itself
+    with _stage("states.propagator"):
+        propagator = EigenPropagator(phi0, config.potential)
+    say(f"propagator: {propagator.health()}")
+    for t in config.output_times:
+        with _stage("states.propagator"):
+            phi = propagator.state(t)
+        with _stage("states.wigner_transform"):
+            w = wigner_transform(phi, config.grid)
+        with _stage("fluxes.instantaneous"):
+            blk = fx.instantaneous_block(
+                w, orbit, config.potential, config.nu_max, config.beta_list,
+                config.epsilon_entropy, config.epsilon_mask, region,
+            )
+        with _stage("fluxes.oracle"):
+            fx.attach_oracles(blk, propagator, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
+        blocks.append(blk)
+        say(f"tau={t:g}: sigma={blk['sigma']['loop']:.3e} (dev {blk['sigma']['rel_dev']:.2%})")
+        if emit:
+            fdir = out / "fields"
+            fdir.mkdir(exist_ok=True)
+            X, K = config.grid.meshes()
+            path = fdir / f"W_{t:.6f}.csv"
+            _write_columns(path, ["x", "k", "W"], zip(X, K, w.values))
+            field_files.append(path.name)
 
     accumulated = None
     if config.accumulate:
         with _stage("fluxes.period_accumulation"):
             accumulated = fx.period_accumulation(
-                config.state, config.potential, orbit, config.nu_max, config.beta_list,
-                pgrid=config.grid, cgrid=config.coordinate_grid,
-                n_nodes=config.accumulation_nodes, dtau_evolve=config.accumulation_dtau,
-                epsilon_entropy=config.epsilon_entropy, region=region,
+                propagator, orbit, config.nu_max, config.beta_list, pgrid=config.grid,
+                n_nodes=config.accumulation_nodes, epsilon_entropy=config.epsilon_entropy, region=region,
             )
 
     report = {
@@ -458,6 +439,7 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
             "samples": int(orbit.x.size),
             "single_well_asymmetric": bool(orbit.single_well_asymmetric),
         },
+        "propagator": propagator.health(),
         "times": blocks,
         "accumulated": accumulated,
     }

@@ -44,29 +44,18 @@ weight, the integrand and its quadrature never touch a node outside it.
 
 The oracle, oracle_rates, cross-checks every row at once by central
 finite differences of its region quantity between the states at
-tau -/+ dtau_fd.  propagate_states branches them off the state at tau
-itself, the one whose loop fluxes are checked, with a few steps of the
-spectral propagator each way, so the difference measures the flux
-formulas and not the main run's time-step error.  The oracle never
-touches the current series or its truncation order; that independence
-is what lets it adjudicate the loop formulas.
-
-The run's own trajectory, the states at the output times and at the
-period nodes, comes from sweep_ahead: where the process may use two or
-more CPUs it forks a worker that takes the split steps of sweep_states
-while this process evaluates the snapshots of the states already
-reached, and it streams each state through a pipe.  The worker runs the
-same code on the same inputs, and a state crosses the pipe as its exact
-bytes, so every output is the same bit for bit on either path.
+tau -/+ dtau_fd.  It takes them from the run's one EigenPropagator, the
+expansion that also gives the state at tau whose loop fluxes are checked,
+so both sides see the same trajectory and the difference measures the
+flux formulas.  The oracle never touches the current series or its
+truncation order; that independence is what lets it adjudicate the loop
+formulas.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import warnings
 from collections.abc import Callable
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -75,7 +64,7 @@ import numpy as np
 from .currents import DEFAULT_NU_MAX, MaskedField, delta_current, div_w
 from .errors import RejectionError
 from .classical import ClassicalOrbit
-from .grid import CoordinateGrid, PhaseSpaceGrid, Window, integrate_volume, node_window
+from .grid import PhaseSpaceGrid, Window, integrate_volume, node_window
 from .observables import (
     ENTROPY_FLOOR,
     PURITY_FACTOR,
@@ -87,7 +76,7 @@ from .observables import (
 )
 from .potentials import PotentialModel
 from .spline import GridSpline, SamplingPlan
-from .states import CAPTURE_LIMIT, StateSpec, Wavefunction, WignerField, evaluate_state, evolve_wavefunction, wigner_transform
+from .states import CAPTURE_LIMIT, EigenPropagator, WignerField, wigner_transform
 
 #: Fewest orbit samples in the loop rule of OrbitRegion's region quadrature (all of them if fewer).
 REGION_LOOP_SAMPLES = 256
@@ -514,191 +503,28 @@ def volume_term(
 def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
     """The two times, tau - dtau_fd and tau + dtau_fd, that the oracle central-differences.
 
-    Every caller that propagates oracle states or looks them up takes the
-    times from here, so the keys agree to the last bit.
+    The one place they are computed: the oracle and the configuration
+    check that guards them both take them from here.
     """
     return (tau - dtau_fd, tau + dtau_fd)
 
 
-#: Most split steps one propagation leg may take: about 3 h at the ~110 us
-#: a step takes on a 2048-node coordinate grid (one core of a virtualised
-#: Xeon).  A larger count comes from a step that is tiny against its leg
-#: and would only keep the run from ending.
-MAX_LEG_STEPS = 10**8
-
-
-def leg_steps(start: float, end: float, dtau: float) -> int:
-    """Split steps of the leg from start to end at step dtau: max(1, round(|end - start| / dtau)).
-
-    Rejects a count that is not finite or exceeds MAX_LEG_STEPS.
-    """
-    steps = abs(end - start) / dtau
-    if not np.isfinite(steps):
-        raise RejectionError(f"the leg from tau={start!r} to {end!r} needs a non-finite number of steps")
-    steps = max(1, round(steps))
-    if steps > MAX_LEG_STEPS:
-        raise RejectionError(
-            f"the leg from tau={start!r} to {end!r} needs {steps:.3g} steps of {dtau!r}, "
-            f"more than the {MAX_LEG_STEPS:.0e} a leg may take"
-        )
-    return steps
-
-
-def sweep_states(phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float):
-    """Yield (time, state) for each distinct requested time, as propagate_states reaches it.
-
-    Holds only the running state and phi0, so a caller that uses each state
-    once never keeps more than those.  A leg's step count comes from
-    leg_steps, which rejects it before the leg's first step.  This is the
-    one sweep: sweep_ahead runs it in a forked worker or in-process, and
-    propagate_states collects it.
-    """
-    if not dtau_evolve > 0:
-        raise RejectionError(f"dtau_evolve must be positive, got {dtau_evolve}")
-    times, start = set(times), phi0.tau
-    for leg_times in (sorted(t for t in times if t >= start), sorted((t for t in times if t < start), reverse=True)):
-        phi, prev = phi0, start
-        for t in leg_times:
-            if t != prev:
-                n_steps = leg_steps(prev, t, dtau_evolve)
-                phi = evolve_wavefunction(phi, potential, (t - prev) / n_steps, n_steps)
-                phi.tau = t
-            yield t, phi
-            prev = t
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one, else all."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
-def _sweep_worker(out, phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float) -> None:
-    """The forked worker's whole work: sweep_states, each state pickled to out, then one last message."""
-    try:
-        for t, phi in sweep_states(phi0, potential, times, dtau_evolve):
-            pickle.dump(("state", t, phi.tau, phi.values), out, pickle.HIGHEST_PROTOCOL)
-            out.flush()
-        last = ("end",)
-    except RejectionError as exc:
-        last = ("rejected", str(exc))
-    except Exception:
-        import traceback  # only a failing worker formats a traceback
-
-        last = ("failed", traceback.format_exc())
-    pickle.dump(last, out, pickle.HIGHEST_PROTOCOL)
-    out.flush()
-
-
-def sweep_ahead(phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float):
-    """sweep_states, with its split steps taken in a forked worker while the caller uses the states.
-
-    Yields the same (time, state) pairs, in the same order, as
-    sweep_states(phi0, potential, times, dtau_evolve).  On its first
-    next() it forks a child that runs sweep_states and nothing else.  The
-    child writes one pickled message per state to an os.pipe,
-    ("state", t, tau, values), and then one last message: ("end",),
-    ("rejected", message) or ("failed", traceback).  The parent rebuilds
-    each state as Wavefunction(values, phi0.grid, tau) and yields it; a
-    rejection is raised as a RejectionError with the child's message
-    unchanged, and any other failure, or a child that dies before its last
-    message, as a RuntimeError.  A state is its exact bytes on both sides
-    of the pipe, and the child steps the same input with the same code, so
-    the stream equals the in-process sweep bit for bit.
-
-    The pipe's buffer (64 KB on Linux, about two states of a 2048-node
-    grid) bounds the child's lead: it blocks on its write until the
-    consumer reads, so it is never more than about two states ahead.  The
-    child ends by os._exit in a finally: it never returns into the
-    caller's frames and never flushes stdio inherited from the parent.
-    When the stream ends, raises or is closed, the parent kills a child
-    that has not sent its last message and reaps it, so no process
-    outlives the stream; a consumer that stops early should close it
-    (contextlib.closing) rather than leave that to the garbage collector.
-
-    The worker runs only when this process may use two or more CPUs and
-    os.fork succeeds; otherwise sweep_states runs in-process, which with
-    one CPU is faster than two processes taking turns on it.
-    """
-    if _usable_cpus() < 2 or not hasattr(os, "fork"):
-        yield from sweep_states(phi0, potential, times, dtau_evolve)
-        return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        yield from sweep_states(phi0, potential, times, dtau_evolve)
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as out:
-                _sweep_worker(out, phi0, potential, times, dtau_evolve)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    ended = False
-    try:
-        with os.fdopen(read_fd, "rb") as stream:
-            while True:
-                try:
-                    kind, *body = pickle.load(stream)
-                except (EOFError, pickle.UnpicklingError) as exc:
-                    raise RuntimeError(f"the sweep worker (pid {pid}) ended before its last message") from exc
-                if kind != "state":
-                    break
-                t, tau, values = body
-                yield t, Wavefunction(values, phi0.grid, tau)
-        ended = True
-        if kind == "rejected":
-            raise RejectionError(body[0])
-        if kind == "failed":
-            raise RuntimeError(f"the sweep worker (pid {pid}) failed:\n{body[0]}")
-    finally:
-        if not ended:
-            import signal  # only a stream stopped early kills its worker
-
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def propagate_states(
-    phi0: Wavefunction, potential: PotentialModel, times, dtau_evolve: float
-) -> dict[float, Wavefunction]:
-    """The state at each requested absolute time, from one split-step sweep out of phi0 at phi0.tau.
-
-    Times >= phi0.tau are reached in ascending order from the running
-    state and earlier times in descending order from phi0, each leg in
-    leg_steps equal steps, max(1, round(|leg| / dtau_evolve)), so the step
-    count is linear in the span of the times; a leg whose step count is
-    not finite or above MAX_LEG_STEPS is rejected.  Each state is tagged
-    with its requested time, which is also its key.
-    """
-    return dict(sweep_states(phi0, potential, times, dtau_evolve))
-
-
 def oracle_rates(
-    states: dict, tau: float, region: OrbitRegion, betas, dtau_fd: float = 1e-3, floor: float = ENTROPY_FLOOR
+    propagator: EigenPropagator, tau: float, region: OrbitRegion, betas, dtau_fd: float = 1e-3,
+    floor: float = ENTROPY_FLOOR,
 ) -> dict:
     """Independent instantaneous rate of every row's region quantity at tau, keyed by Quantity.key.
 
-    Takes the states at oracle_times(tau, dtau_fd) from states, a map of
-    time to state produced by propagate_states, builds W at both on the
-    region's grid and central-differences each region quantity between
-    them (sigma, svn, purity as 2 pi int W^2, the Renyi power integrals).
-    A row whose quantity is undefined gets its RejectionError as value.
+    Takes the states at oracle_times(tau, dtau_fd) from the propagator,
+    builds W at both on the region's grid and central-differences each
+    region quantity between them (sigma, svn, purity as 2 pi int W^2, the
+    Renyi power integrals).  A row whose quantity is undefined gets its
+    RejectionError as value.
     """
     if not (np.isfinite(dtau_fd) and dtau_fd > 0):
         raise RejectionError(f"dtau_fd must be positive and finite, got {dtau_fd}")
     times = oracle_times(tau, dtau_fd)
-    missing = [t for t in times if t not in states]
-    if missing:
-        raise RejectionError(f"no oracle state at tau={missing[0]!r}")
-    pair = [Snapshot(wigner_transform(states[t], region.grid), region=region) for t in times]
+    pair = [Snapshot(wigner_transform(propagator.state(t), region.grid), region=region) for t in times]
     out = {}
     for q in quantities(betas):
         try:
@@ -742,16 +568,17 @@ def instantaneous_block(
 
 
 def attach_oracles(
-    block: dict, states: dict, region: OrbitRegion, betas, dtau_fd: float = 1e-3, floor: float = ENTROPY_FLOOR
+    block: dict, propagator: EigenPropagator, region: OrbitRegion, betas, dtau_fd: float = 1e-3,
+    floor: float = ENTROPY_FLOOR,
 ) -> dict:
     """Add oracle rates and relative deviations to an instantaneous block.
 
-    The rates come from oracle_rates(states, block["tau"], ...).  A row
+    The rates come from oracle_rates(propagator, block["tau"], ...).  A row
     with a factor (purity's 2 pi) compares its balance form with the rate
     divided by it, and also reports that adjusted rate and the unadjusted
     deviation.
     """
-    rates = oracle_rates(states, block["tau"], region, betas, dtau_fd, floor)
+    rates = oracle_rates(propagator, block["tau"], region, betas, dtau_fd, floor)
     for q in quantities(betas):
         entry, rate = q.entry(block), rates[q.key]
         if "rejected" in entry:
@@ -791,16 +618,13 @@ def _region_quantities(snap: Snapshot, rows, floor: float) -> dict:
 
 
 def period_accumulation(
-    spec: StateSpec,
-    potential: PotentialModel,
+    propagator: EigenPropagator,
     orbit: ClassicalOrbit,
     nu_max: int,
     betas,
     *,
     pgrid: PhaseSpaceGrid,
-    cgrid: CoordinateGrid,
     n_nodes: int = 32,
-    dtau_evolve: float = 1e-3,
     epsilon_entropy: float = ENTROPY_FLOOR,
     region: OrbitRegion | None = None,
 ) -> dict:
@@ -818,9 +642,10 @@ def period_accumulation(
                       by the row's factor: the independent reference for
                       `balance`.
 
-    The states are swept node by node (sweep_ahead, so the split steps
-    run beside the snapshots) and each is dropped once its snapshot is
-    evaluated.
+    The state at each of the n_nodes + 1 equally spaced nodes tau_j on
+    [0, T] comes from the propagator, the run's one eigen expansion, under
+    whose potential the snapshots are evaluated; each state is dropped
+    once its snapshot is.
 
     Once nodal lines of W enter the region, the svn volume integrand
     W div(w) grows like 1/W near them and its node quadrature loses
@@ -839,26 +664,26 @@ def period_accumulation(
     rejected: dict[str, str] = {}
     ends: dict[int, dict] = {}  # region quantities at the first and last node
 
-    with closing(sweep_ahead(evaluate_state(spec, cgrid, 0.0), potential, taus, dtau_evolve)) as states:
-        for j, (tau_j, phi) in enumerate(states):
-            snap = Snapshot(wigner_transform(phi, pgrid), orbit, potential, nu_max, region)
-            blk = snap.block(betas, epsilon_entropy)
-            # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
-            i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
-            w_pt, dj_pt, vx_pt = float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]
+    for j, tau_j in enumerate(taus):
+        phi = propagator.state(tau_j)
+        snap = Snapshot(wigner_transform(phi, pgrid), orbit, propagator.potential, nu_max, region)
+        blk = snap.block(betas, epsilon_entropy)
+        # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
+        i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
+        w_pt, dj_pt, vx_pt = float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]
 
-            for q in rows:
-                entry = q.entry(blk)
-                if j == 0:
-                    frozen[q.key] = entry.get("loop", float("nan"))
-                if "full" in entry:
-                    inst[q.key].append(entry["full"])
-                else:
-                    rejected.setdefault(q.key, entry.get("rejected", entry.get("volume_term_rejected", "")))
-                    inst[q.key].append(np.nan)
-                diag[q.key].append(_diagonal_sample(q, w_pt, dj_pt, vx_pt, epsilon_entropy))
-            if j in (0, n_nodes):
-                ends[j] = _region_quantities(snap, rows, epsilon_entropy)
+        for q in rows:
+            entry = q.entry(blk)
+            if j == 0:
+                frozen[q.key] = entry.get("loop", float("nan"))
+            if "full" in entry:
+                inst[q.key].append(entry["full"])
+            else:
+                rejected.setdefault(q.key, entry.get("rejected", entry.get("volume_term_rejected", "")))
+                inst[q.key].append(np.nan)
+            diag[q.key].append(_diagonal_sample(q, w_pt, dj_pt, vx_pt, epsilon_entropy))
+        if j in (0, n_nodes):
+            ends[j] = _region_quantities(snap, rows, epsilon_entropy)
 
     out: dict = {"period": T, "n_nodes": n_nodes}
     start, end = ends[0], ends[n_nodes]

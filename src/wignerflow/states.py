@@ -3,9 +3,12 @@
 The catalog covers harmonic-basis-expressible states (eigenstates,
 coherent displacements, two-lobe cat superpositions, custom eigenstate
 mixes), all with closed-form time dependence under the harmonic well.
-Anharmonic dynamics is generated on the wavefunction by a symmetric
-split-step propagator, stepped in place on one working copy with
-numpy.fft, and the quasi-probability field is rebuilt by direct
+Anharmonic dynamics comes from one eigendecomposition per run: the
+EigenPropagator diagonalises the Fourier-grid Hamiltonian on a strided
+sub-grid of the coordinate grid, projects the initial state onto its
+eigenvectors and gives phi(tau) at any tau directly, with no time step.
+The split-step evolve_wavefunction is kept as an independent reference.
+The quasi-probability field is rebuilt by direct
 quadrature of the phase-space convolution at each output time.
 The quadrature runs over y >= 0 only: the integrand's conjugate symmetry
 in y folds the full lattice onto its half, which makes W real by
@@ -37,8 +40,18 @@ BOUNDARY_ENVELOPE = 1e-12
 #: that the phase-space grid fails to capture.
 CAPTURE_LIMIT = 1e-2
 
-#: Norm drift that makes the propagator reject its own output.
+#: Norm drift that makes the split-step propagator reject its own output.
 NORM_DRIFT_LIMIT = 1e-8
+
+#: Largest share of |c|^2 the eigenbasis may hold on eigenpairs with
+#: E > (pi / h_s)^2 / 8, a quarter of its top kinetic energy.
+RESOLUTION_LIMIT = 1e-8
+
+#: Largest bound on |phi| at the eigenbasis domain's edge, over all times.
+EDGE_LIMIT = 1e-8
+
+#: The first eigenbasis takes every _START_STRIDE-th node of the coordinate grid's central half.
+_START_STRIDE = 4
 
 #: Rows of W built per block of the transform; bounds its sample table.
 _TRANSFORM_ROWS = 32
@@ -348,3 +361,155 @@ def evolve_wavefunction(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}; enlarge the grid"
         )
     return out
+
+
+def require_time(tau: float, grid: CoordinateGrid) -> None:
+    """Reject a time tau at which float64 keeps no phase e^{-iE tau} of the grid's top kinetic energy.
+
+    That energy is (pi / h)^2 / 2, and the phase is lost once
+    eps * |tau| * (pi / h)^2 / 2 exceeds 1, with eps the float64 machine
+    epsilon: beyond |tau| = 2.2e11 on a 2048-node grid of half-width 16.
+    A tau that is not a number is rejected too.
+    """
+    limit = 2.0 / (np.finfo(float).eps * (np.pi / grid.h) ** 2)
+    if not abs(tau) <= limit:
+        raise RejectionError(
+            f"tau={tau!r} lies beyond |tau| = {limit:.3g}, where float64 keeps no phase "
+            "of the coordinate grid's top kinetic energy"
+        )
+
+
+def kinetic_matrix(n: int, h: float) -> np.ndarray:
+    """The Fourier-grid matrix of k^2/2 on n periodic nodes of spacing h, n even.
+
+    It is F^-1 diag(kappa^2 / 2) F with kappa the numpy.fft frequencies of
+    period n h, in closed form (Kosloff & Kosloff, J. Comput. Phys. 52, 35
+    (1983)): (pi / h)^2 (1 + 2 / n^2) / 6 on the diagonal and
+    (-1)^d (pi / (n h))^2 / sin^2(pi d / n) at offset d.  The matrix is
+    symmetric Toeplitz and is built from its first row.
+    """
+    d = np.arange(1, n)
+    row = np.empty(n)
+    row[0] = (np.pi / h) ** 2 * (1.0 + 2.0 / n**2) / 6.0
+    row[1:] = np.where(d % 2, -1.0, 1.0) * (np.pi / (n * h)) ** 2 / np.sin(np.pi * d / n) ** 2
+    i = np.arange(n)
+    return row[np.abs(i[:, None] - i[None, :])]
+
+
+def _upsample(samples: np.ndarray, m: int) -> np.ndarray:
+    """Trigonometric interpolation of n periodic samples onto m >= n nodes, by FFT zero-padding.
+
+    The Nyquist coefficient of the even n is split evenly between the
+    frequencies -n/2 and +n/2, so the interpolant is the one whose
+    kinetic energy kinetic_matrix holds.
+    """
+    n = samples.size
+    if m == n:
+        return samples
+    spectrum = np.fft.fft(samples)
+    padded = np.zeros(m, dtype=complex)
+    half = n // 2
+    padded[:half] = spectrum[:half]
+    padded[m - half :] = spectrum[half:]
+    padded[m - half] *= 0.5
+    padded[half] = padded[m - half]
+    return np.fft.ifft(padded) * (m / n)
+
+
+class EigenPropagator:
+    """phi(tau) = V e^{-iE(tau - tau0)} c, from one Fourier-grid eigendecomposition.
+
+    Built once per (phi0, potential).  The Hamiltonian k^2/2 + u(x) is
+    diagonalised, by one numpy.linalg.eigh, on a sub-grid of phi0's
+    coordinate grid: every stride-th node of a centred domain of span
+    nodes, periodic over span * h, with kinetic_matrix's closed form.
+    phi0 is projected once onto the eigenvectors V, c = V^T phi0, and a
+    state is the sub-grid samples V (e^{-iE(tau - tau0)} c), upsampled to
+    the domain's coordinate nodes by FFT zero-padding and zero outside it.
+    At tau0 = phi0.tau the state is phi0 itself.
+
+    The basis is worked out from phi0 and the potential.  It starts at
+    every 4th node of the coordinate grid's central half, or of the whole
+    grid if |phi0| exceeds EDGE_LIMIT on or beyond the central half's edge
+    nodes.  While the resolution share, the share of |c|^2 on eigenpairs
+    with E > (pi / h_s)^2 / 8 at sub-grid spacing h_s, exceeds
+    RESOLUTION_LIMIT, the stride halves.  While the edge bound,
+    sum |c_n| |V_edge,n|, which bounds |phi| at the domain's edge node at
+    every tau, exceeds EDGE_LIMIT, the domain doubles.  A state that would
+    need a stride below 1 or a domain beyond the coordinate grid is
+    rejected, and the message names the number that failed.
+    """
+
+    def __init__(self, phi0: Wavefunction, potential: PotentialModel) -> None:
+        self.phi0, self.potential = phi0, potential
+        n = phi0.grid.n
+        self.span, self.stride = n // 2, _START_STRIDE
+        interior = np.s_[self._start + 1 : self._start + self.span - 1]
+        if np.max(np.abs(np.delete(phi0.values, interior))) > EDGE_LIMIT:
+            self.span = n
+        while True:
+            self._diagonalize()
+            if not self.resolution_share <= RESOLUTION_LIMIT:
+                if self.stride == 1:
+                    raise RejectionError(
+                        f"under-resolved state: resolution share {self.resolution_share:.3e} exceeds "
+                        f"{RESOLUTION_LIMIT:.0e} with every coordinate node in the eigenbasis; "
+                        "refine the coordinate grid"
+                    )
+                self.stride //= 2
+            elif not self.edge_bound <= EDGE_LIMIT:
+                if self.span == n:
+                    raise RejectionError(
+                        f"state reaches the coordinate grid's edge: edge bound {self.edge_bound:.3e} "
+                        f"exceeds {EDGE_LIMIT:.0e} on the whole grid; widen the coordinate grid"
+                    )
+                self.span *= 2
+            else:
+                break
+
+    @property
+    def _start(self) -> int:
+        """Index of the domain's first coordinate node."""
+        return (self.phi0.grid.n - self.span) // 2
+
+    def _diagonalize(self) -> None:
+        """Eigenpairs, coefficients, resolution share and edge bound of the current basis."""
+        grid, start = self.phi0.grid, self._start
+        nodes = np.arange(start, start + self.span, self.stride)
+        h_s = self.stride * grid.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.asarray(self.potential.u(grid.x[nodes]), dtype=float)
+        if not np.all(np.isfinite(u)):
+            raise RejectionError(f"potential {self.potential.label!r} is non-finite on the eigenbasis nodes")
+        hamiltonian = kinetic_matrix(nodes.size, h_s)
+        hamiltonian[np.diag_indices(nodes.size)] += u
+        self.energies, self.vectors = np.linalg.eigh(hamiltonian)
+        self.coefficients = self.vectors.T @ self.phi0.values[nodes]
+        weight = np.abs(self.coefficients) ** 2
+        total = weight.sum()
+        high = weight[self.energies > (np.pi / h_s) ** 2 / 8].sum()
+        self.resolution_share = float(high / total) if total > 0 else 0.0
+        self.edge_bound = float(np.abs(self.coefficients) @ np.abs(self.vectors[0]))
+
+    def health(self) -> dict:
+        """The basis and its checks: node count, the x-range of its domain, resolution share, edge bound."""
+        x = self.phi0.grid.x
+        return {
+            "basis_nodes": int(self.energies.size),
+            "x_range": [float(x[self._start]), float(x[self._start + self.span - 1])],
+            "resolution_share": self.resolution_share,
+            "edge_bound": self.edge_bound,
+        }
+
+    def state(self, tau: float) -> Wavefunction:
+        """phi at tau: phi0 itself at phi0.tau, else the expansion's; require_time rejects a tau."""
+        phi0 = self.phi0
+        if tau == phi0.tau:
+            return phi0
+        require_time(tau, phi0.grid)
+        z = np.exp(-1j * self.energies * (tau - phi0.tau)) * self.coefficients
+        # V is real: one product with the (real, imaginary) pairs of z
+        sub = (self.vectors @ z.view(float).reshape(-1, 2)).view(complex).ravel()
+        values = np.zeros(phi0.grid.n, dtype=complex)
+        values[self._start : self._start + self.span] = _upsample(sub, self.span)
+        return Wavefunction(values, phi0.grid, tau)

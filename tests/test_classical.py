@@ -1,5 +1,7 @@
 """Orbit by turning-point quadrature, its rejections, loop frame geometry."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,14 @@ class TestDoubleWell:
         # turns at or skims the saddle, and no finite period is resolved
         with pytest.raises(RejectionError, match="no period found"):
             solve_orbit(double_well(0.25), (np.sqrt(2.0), 0.0), tau_limit=10.0)
+
+    def test_unconverged_quadrature_names_the_nearby_separatrix(self):
+        # E = 5e-7 lies just above the saddle u(0) = 0: E - u pinches near
+        # x = 0, where r(x) has the complex roots +-i sqrt(2E) = +-1e-3 i
+        with pytest.raises(RejectionError, match="did not converge; the start lies near a separatrix") as caught:
+            solve_orbit(double_well(0.25), (0.0, 1e-3))
+        gap = float(re.search(r"nearest complex root (\S+) from", str(caught.value)).group(1))
+        assert gap == pytest.approx(1e-3, rel=1e-3)
 
     def test_exact_separatrix_rejected(self):
         # u = -x^2 + x^4 has u(1) = u(0) = 0 exactly: the orbit from (1, 0)

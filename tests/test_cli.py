@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wignerflow
-from wignerflow import cli, fluxes
+from wignerflow import cli, fluxes, states
 from wignerflow.classical import solve_orbit
 from wignerflow.cli import main, parse_config
 from wignerflow.states import evaluate_state, wigner_transform
@@ -43,7 +44,6 @@ MALFORMED = {
     "unhashable potential kind": {"potential": {"kind": ["pure_quartic"]}},
     "output time of a non-finite step count": {"output_times": [0.0, 1e308]},
     "oracle leg of a non-finite step count": {"dtau": 1e-300, "dtau_fd": 1e300},
-    "output leg above the step guard": {"dtau": 1e-300},
     "boolean nu_max": {"nu_max": True},
     "boolean x0": {"state": {"kind": "coherent", "x0": True, "k0": 0.5}},
     "boolean beta": {"beta_list": [True]},
@@ -52,8 +52,15 @@ MALFORMED = {
 
 #: Configs that pass validation and are rejected in the run: changes and the stage that rejects them.
 REJECTED_IN_RUN = {
-    "accumulation leg above the step guard": (
-        {"accumulation": {"enabled": True, "time_nodes": 4, "dtau": 1e-300}}, "fluxes.period_accumulation",
+    "state the eigenbasis cannot resolve": (
+        {"state": {"kind": "coherent", "x0": 1.0, "k0": 40.0}}, "states.propagator",
+    ),
+    "state that reaches the grid's edge": (
+        {"potential": {"kind": "harmonic"}, "state": {"kind": "coherent", "x0": 0.0, "k0": 20.0}},
+        "states.propagator",
+    ),
+    "potential non-finite on the eigenbasis": (
+        {"potential": {"kind": "quartic_perturbed", "lambda": 1e306}}, "states.propagator",
     ),
 }
 
@@ -164,7 +171,7 @@ def test_small_run_writes_strict_json_and_one_row_per_time(tmp_path):
 
 
 def test_repeated_output_time_repeats_its_block_and_row(tmp_path):
-    # the sweep reaches tau = 0.25 once; both blocks are made from that state
+    # both blocks are made from the propagator's state at tau = 0.25
     config = write_config(tmp_path, output_times=[0.0, 0.25, 0.25])
     out = tmp_path / "out"
     assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
@@ -178,103 +185,76 @@ def test_repeated_output_time_repeats_its_block_and_row(tmp_path):
     assert rows[2] == rows[3]
 
 
-def usable_cpus(monkeypatch, n: int) -> None:
-    """Make the process look like it may use n CPUs; with one, every sweep runs in-process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
+def test_one_eigendecomposition_serves_every_state_of_a_run(tmp_path, monkeypatch):
+    # three output times, their six oracle times and five accumulation
+    # nodes all read one expansion; no split step is taken.  On the
+    # 512-node grid the basis is refined while it is built: strides 4, 2
+    # and 1 are diagonalised, and no eigh runs after that.
+    calls, built = Counter(), []
 
+    def eigh(matrix, _eigh=np.linalg.eigh):
+        calls["eigh"] += 1
+        return _eigh(matrix)
 
-def test_oracle_states_branch_off_each_output_time(tmp_path, monkeypatch):
-    # 500 main-loop steps and 2 + 2 oracle steps (dtau_fd at dtau_fd / 2
-    # each way) from each of the 3 output times: 500 + 3 * 4 = 512.  The
-    # main sweep runs in-process so that its steps are counted here; a
-    # forked worker takes the same steps (tests/test_sweep_ahead.py).
-    usable_cpus(monkeypatch, 1)
-    steps = []
-    for module in (m for m in (cli, fluxes) if hasattr(m, "evolve_wavefunction")):
-        def counted(phi, potential, dtau, n, _evolve=module.evolve_wavefunction):
-            steps.append(n)
-            return _evolve(phi, potential, dtau, n)
-        monkeypatch.setattr(module, "evolve_wavefunction", counted)
-    config = parse_config({**SMALL, "output_times": [0.0, 0.25, 0.5]})
+    class Counting(states.EigenPropagator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(calls["eigh"])
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(cli, "EigenPropagator", Counting)
+    monkeypatch.setattr(states, "evolve_wavefunction", lambda *args: pytest.fail("a split step ran"))
+    config = parse_config({**SMALL, "output_times": [0.0, 0.25, 0.5], "accumulation": {"enabled": True, "time_nodes": 4}})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cli.run(config, tmp_path / "out")
     assert not [w for w in caught if "unnormalized" in str(w.message)]
-    assert sum(steps) == 512
-
-
-def run_recording_states(tmp_path, monkeypatch, dtau):
-    """cli.run of SMALL at [0, 0.5]: its config, report, sweeps and oracle regions.
-
-    The sweeps are the main sweep_ahead stream, recorded as a map of time
-    to state, and then each propagate_states call, in call order.
-    """
-    sweeps, regions = [], []
-
-    def recorded(phi0, potential, times, dtau_evolve, _propagate=fluxes.propagate_states):
-        states = _propagate(phi0, potential, times, dtau_evolve)
-        sweeps.append((phi0, states))
-        return states
-
-    def streamed(phi0, potential, times, dtau_evolve, _sweep=fluxes.sweep_ahead):
-        states = {}
-        sweeps.append((phi0, states))
-
-        def stream():
-            for t, phi in _sweep(phi0, potential, times, dtau_evolve):
-                states[t] = phi
-                yield t, phi
-        return stream()
-
-    def attach(block, states, region, *args, _attach=fluxes.attach_oracles):
-        regions.append(region)
-        return _attach(block, states, region, *args)
-
-    monkeypatch.setattr(fluxes, "propagate_states", recorded)
-    monkeypatch.setattr(fluxes, "sweep_ahead", streamed)
-    monkeypatch.setattr(fluxes, "attach_oracles", attach)
-    config = parse_config({**SMALL, "output_times": [0.0, 0.5], "dtau": dtau})
-    out = cli.run(config, tmp_path / f"out-{dtau:g}")
-    monkeypatch.undo()
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    return config, report, sweeps, regions
+    assert built == [3]
+    assert calls["eigh"] == 3
 
 
 def test_oracle_differentiates_the_state_whose_flux_it_checks(tmp_path, monkeypatch):
-    runs = {dtau: run_recording_states(tmp_path, monkeypatch, dtau) for dtau in (1e-3, 2.5e-2)}
-    # The oracle differentiates the loop's own state, so the main run's
-    # time-step error stays out of rel_dev: 25 times the step moves sigma's
-    # rel_dev at tau = 0.5 by well under 2 %.
-    fine, coarse = (runs[dtau][1]["times"][1]["sigma"]["rel_dev"] for dtau in (1e-3, 2.5e-2))
-    assert abs(coarse - fine) <= 0.02 * fine
+    # the output state at tau and the oracle's states at tau -/+ dtau_fd
+    # come from the one propagator of the run
+    built, asked = [], []
 
-    for config, report, sweeps, regions in runs.values():
-        (phi0, phis), *branches = sweeps
-        assert len(branches) == len(config.output_times)
-        for t, (base, states) in zip(config.output_times, branches):
-            assert base is phis[t]
-            for s in fluxes.oracle_times(t, config.dtau_fd):
-                # two steps of (s - t) / 2, which is +-dtau_fd / 2 up to the
-                # rounding of t +- dtau_fd
-                assert (s - t) / 2 == pytest.approx(np.sign(s - t) * config.dtau_fd / 2, rel=1e-12)
-                expected = fluxes.evolve_wavefunction(phis[t], config.potential, (s - t) / 2, 2)
-                assert np.array_equal(states[s].values, expected.values)
-                assert states[s].tau == s
+    class Recording(states.EigenPropagator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-        # At tau = 0 the branches are the first legs of a single sweep from
-        # tau = 0 over every oracle time of the run, so the oracle values
-        # are that sweep's.
-        old_sweep = fluxes.propagate_states(
-            phi0, config.potential,
-            [s for t in config.output_times for s in fluxes.oracle_times(t, config.dtau_fd)],
-            min(config.dtau, config.dtau_fd / 2),
-        )
-        rates = fluxes.oracle_rates(
-            old_sweep, 0.0, regions[0], config.beta_list, config.dtau_fd, config.epsilon_entropy
-        )
+        def state(self, tau):
+            asked.append(tau)
+            return super().state(tau)
+
+    monkeypatch.setattr(cli, "EigenPropagator", Recording)
+    config = parse_config({**SMALL, "output_times": [0.0, 0.5]})
+    out = cli.run(config, tmp_path / "out")
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    (propagator,) = built
+    assert asked == [s for t in config.output_times for s in (t, *fluxes.oracle_times(t, config.dtau_fd))]
+    region = fluxes.OrbitRegion(
+        solve_orbit(config.potential, config.orbit_start, config.orbit_samples, config.orbit_tau_limit, config.grid.x_max),
+        config.grid,
+    )
+    for t, block in zip(config.output_times, report["times"]):
+        rates = fluxes.oracle_rates(propagator, t, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
         for q in fluxes.quantities(config.beta_list):
-            assert q.entry(report["times"][0])["oracle"] == rates[q.key]
+            if not isinstance(rates[q.key], Exception):
+                assert q.entry(block)["oracle"] == rates[q.key]
+
+
+def test_report_records_the_propagator_health(tmp_path):
+    config = parse_config(SMALL)
+    report = json.loads((cli.run(config, tmp_path / "out") / "report.json").read_text(encoding="utf-8"))
+    health = report["propagator"]
+    # every node of the central half of the 512-node grid: strides 4 and 2
+    # leave a resolution share above the limit
+    assert health["basis_nodes"] == 256
+    x = config.coordinate_grid.x
+    assert health["x_range"] == [x[128], x[383]]
+    assert 0.0 <= health["resolution_share"] <= states.RESOLUTION_LIMIT
+    assert 0.0 < health["edge_bound"] <= states.EDGE_LIMIT
 
 
 #: Runs SMALL through cli.run with every scipy import refused, then lists
@@ -352,3 +332,21 @@ def test_orbit_dtau_is_validated_and_has_no_effect():
     assert with_dtau == without
     with pytest.raises(wignerflow.ConfigError, match="orbit dtau"):
         parse_config({**SMALL, "orbit": {**orbit, "dtau": 0.0}})
+
+
+@pytest.mark.parametrize("changes, where", [
+    ({"dtau": 5e-3}, "dtau"),
+    ({"accumulation": {"enabled": True, "dtau": 5e-3}}, "accumulation"),
+    ({"units": {"dt": 5e-3}}, "units"),
+], ids=["dtau", "accumulation.dtau", "units.dt"])
+def test_time_steps_are_validated_and_have_no_effect(changes, where):
+    # every state comes from one eigen expansion; the keys stay accepted so old configs run
+    base = {**SMALL, "accumulation": {"enabled": True}} if where == "accumulation" else SMALL
+    with_step, without = parse_config({**SMALL, **changes}), parse_config(base)
+    assert with_step.echo[where] == changes[where]
+    with_step.echo = without.echo = {}
+    assert with_step == without
+    zero = {key: {**value, ("dt" if key == "units" else "dtau"): 0.0} if isinstance(value, dict) else 0.0
+            for key, value in changes.items()}
+    with pytest.raises(wignerflow.ConfigError, match="dtau"):
+        parse_config({**SMALL, **zero})

@@ -21,7 +21,6 @@ from wignerflow.fluxes import (
     oracle_times,
     orbit_interior_mask,
     period_accumulation,
-    propagate_states,
     purity_flux,
     quantities,
     renyi,
@@ -34,7 +33,7 @@ from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import delta_current, div_w
 from wignerflow.observables import power_field
 from wignerflow.potentials import harmonic, pure_quartic
-from wignerflow.states import WignerField, cat, coherent, evaluate_state, evolve_wavefunction, wigner_transform
+from wignerflow.states import EigenPropagator, WignerField, cat, coherent, evaluate_state, wigner_transform
 
 BETAS = (0.5, 2.0, 3.0)
 
@@ -67,10 +66,14 @@ def on_orbit(grid, values, orbit):
     return Snapshot(WignerField(values, grid), orbit).w_on
 
 
-def oracle(spec, pot, region, cgrid, betas=(), dtau_fd=1e-3, tau=0.0, dtau_evolve=1e-4):
-    """oracle_rates from a sweep of its own over the two oracle times of tau."""
-    states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, oracle_times(tau, dtau_fd), dtau_evolve)
-    return oracle_rates(states, tau, region, betas, dtau_fd)
+def propagator(spec, pot, cgrid):
+    """The eigen expansion of a catalog state at tau = 0."""
+    return EigenPropagator(evaluate_state(spec, cgrid, 0.0), pot)
+
+
+def oracle(spec, pot, region, cgrid, betas=(), dtau_fd=1e-3, tau=0.0):
+    """oracle_rates from a propagator of its own."""
+    return oracle_rates(propagator(spec, pot, cgrid), tau, region, betas, dtau_fd)
 
 
 def edge_masks(grid):
@@ -386,9 +389,9 @@ class TestOracle:
         # the oracle differentiates 2 pi int W^2, the balance form int W^2
         pot = pure_quartic()
         region = OrbitRegion(quartic_orbit, pgrid)
-        states = propagate_states(evaluate_state(coherent(1.0, 0.5), cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 1e-4)
+        prop = propagator(coherent(1.0, 0.5), pot, cgrid)
         blk = instantaneous_block(offset_gaussian_w, quartic_orbit, pot, 2, (2.0,), region=region)
-        attach_oracles(blk, states, region, (2.0,))
+        attach_oracles(blk, prop, region, (2.0,))
         purity = blk["purity"]
         assert purity["oracle_2pi_adjusted"] == purity["oracle"] / (2 * np.pi)
         assert purity["rel_dev"] < 5e-2
@@ -401,10 +404,10 @@ class TestOracle:
         # form vanishes: the oracle must read zero too, not noise.
         pot, betas = pure_quartic(), (2.0, 3.0)
         region = OrbitRegion(quartic_orbit, pgrid)
-        states = propagate_states(evaluate_state(cat(1.5, 0.0), cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 1e-4)
-        rates = oracle_rates(states, 0.0, region, betas)
+        prop = propagator(cat(1.5, 0.0), pot, cgrid)
+        rates = oracle_rates(prop, 0.0, region, betas)
         assert all(abs(rate) <= 1e-12 for rate in rates.values()), rates
-        blk = attach_oracles(instantaneous_block(cat_w, quartic_orbit, pot, 2, betas, region=region), states, region, betas)
+        blk = attach_oracles(instantaneous_block(cat_w, quartic_orbit, pot, 2, betas, region=region), prop, region, betas)
         deviations = [(q.key, key, value) for q in quantities(betas) for key, value in q.entry(blk).items()
                       if key.startswith("rel_dev")]
         assert len(deviations) == 6
@@ -416,11 +419,11 @@ class TestOracle:
         # reach the result and both oracle snapshots: a cycle that held two
         # grid fields until the garbage collector ran.
         region = OrbitRegion(quartic_orbit, pgrid)
-        states = propagate_states(evaluate_state(cat(1.5, 0.0), cgrid, 0.0), pure_quartic(), oracle_times(0.0, 1e-3), 1e-4)
+        prop = propagator(cat(1.5, 0.0), pure_quartic(), cgrid)
         gc.collect()
         gc.disable()
         try:
-            rates = oracle_rates(states, 0.0, region, (0.5,))
+            rates = oracle_rates(prop, 0.0, region, (0.5,))
             assert isinstance(rates["renyi_0.5"], RejectionError)
             assert rates["renyi_0.5"].__traceback__ is None
             del rates
@@ -432,9 +435,23 @@ class TestOracle:
     def test_non_positive_or_non_finite_dtau_fd_rejected(self, dtau_fd, pgrid, cgrid, quartic_orbit):
         # dtau_fd = 0 used to divide by zero, and -1e-3 returned the +1e-3 rate
         spec, pot = coherent(1.0, 0.5), pure_quartic()
-        states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, [0.5, *oracle_times(0.5, 1e-3)], 5e-4)
+        prop = propagator(spec, pot, cgrid)
         with pytest.raises(RejectionError, match="dtau_fd must be positive"):
-            oracle_rates(states, 0.5, OrbitRegion(quartic_orbit, pgrid), BETAS, dtau_fd)
+            oracle_rates(prop, 0.5, OrbitRegion(quartic_orbit, pgrid), BETAS, dtau_fd)
+
+    def test_oracle_differences_the_propagator_states_at_its_two_times(self, pgrid, cgrid, quartic_orbit):
+        prop, region = propagator(coherent(1.0, 0.5), pure_quartic(), cgrid), OrbitRegion(quartic_orbit, pgrid)
+        asked = []
+
+        class Recording:
+            def state(self, tau):
+                asked.append(tau)
+                return prop.state(tau)
+
+        rates = oracle_rates(Recording(), 0.5, region, ())
+        assert asked == list(oracle_times(0.5, 1e-3))
+        before, after = (Snapshot(wigner_transform(prop.state(t), pgrid), region=region).quantity(SIGMA) for t in asked)
+        assert rates["sigma"] == (after - before) / 2e-3
 
 
 class TestPeriodAccumulation:
@@ -442,8 +459,8 @@ class TestPeriodAccumulation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             acc = period_accumulation(
-                coherent(1.0, 0.0), pure_quartic(), quartic_orbit, 2, (2.0,),
-                pgrid=pgrid, cgrid=cgrid, n_nodes=64, dtau_evolve=1e-3,
+                propagator(coherent(1.0, 0.0), pure_quartic(), cgrid), quartic_orbit, 2, (2.0,),
+                pgrid=pgrid, n_nodes=64,
             )
         # at tau = 0 the state is even in k, so the frozen printed form vanishes
         assert abs(acc["sigma"]["frozen"]) < 1e-10
@@ -477,8 +494,8 @@ class TestPeriodAccumulation:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 period_accumulation(
-                    coherent(2.0, 0.0), harmonic(), harmonic_orbit, 2, (2.0,),
-                    pgrid=pgrid, cgrid=cgrid, n_nodes=n_nodes, dtau_evolve=1e-2,
+                    propagator(coherent(2.0, 0.0), harmonic(), cgrid), harmonic_orbit, 2, (2.0,),
+                    pgrid=pgrid, n_nodes=n_nodes,
                 )
             built[n_nodes] = dict(counts, operators=spline.slope_operator.cache_info().misses)
         # one plan of two point sets, each located on both axes; one
@@ -571,89 +588,9 @@ class TestSnapshotEvaluation:
 
     def test_oracle_rates_sample_each_field_once(self, monkeypatch, pgrid, cgrid, quartic_orbit):
         region = OrbitRegion(quartic_orbit, pgrid)
-        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
-        states = propagate_states(phi0, pure_quartic(), oracle_times(0.0, 1e-3), 1e-3)
+        prop = propagator(coherent(1.0, 0.5), pure_quartic(), cgrid)
         counts = self._count_work(monkeypatch)
-        oracle_rates(states, 0.0, region, BETAS)
+        oracle_rates(prop, 0.0, region, BETAS)
         assert counts["wigner_transform"] == 2
         assert counts["fits"] == 2
         assert counts["delta_current"] == 0
-
-
-class TestPropagateStates:
-    def test_legs_continue_from_the_running_state(self, cgrid):
-        pot = pure_quartic()
-        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
-        states = propagate_states(phi0, pot, [0.0, *oracle_times(0.0, 1e-2), 0.05, 0.05], 1e-3)
-        assert sorted(states) == [-1e-2, 0.0, 1e-2, 0.05]
-        assert states[0.0] is phi0
-        for t in (-1e-2, 1e-2):
-            assert np.array_equal(states[t].values, evolve_wavefunction(phi0, pot, t / 10, 10).values)
-        # the last leg starts from tau = 0.01, not from tau = 0
-        direct = evolve_wavefunction(phi0, pot, 1e-3, 50)
-        assert np.max(np.abs(states[0.05].values - direct.values)) < 1e-12
-        assert [states[t].tau for t in sorted(states)] == sorted(states)
-
-    def test_legs_start_at_the_base_state_time(self, cgrid):
-        pot = pure_quartic()
-        base = propagate_states(evaluate_state(coherent(1.0, 0.5), cgrid, 0.0), pot, [0.25], 1e-3)[0.25]
-        states = propagate_states(base, pot, [0.2, 0.24, 0.25, 0.26, 0.3], 1e-3)
-        assert sorted(states) == [0.2, 0.24, 0.25, 0.26, 0.3]
-        assert states[0.25] is base
-        # later times ascend from the base and earlier ones descend from it,
-        # each leg continuing from the state before it
-        for t, start in ((0.26, 0.25), (0.3, 0.26), (0.24, 0.25), (0.2, 0.24)):
-            n = int(round(abs(t - start) / 1e-3))
-            direct = evolve_wavefunction(states[start], pot, (t - start) / n, n)
-            assert np.array_equal(states[t].values, direct.values)
-        assert [states[t].tau for t in sorted(states)] == sorted(states)
-
-    def test_steps_grow_linearly_with_the_output_times(self, monkeypatch, cgrid):
-        steps = Counter()
-
-        def counted(phi, potential, dtau, n):
-            steps["n"] += n
-            return evolve_wavefunction(phi, potential, dtau, n)
-
-        monkeypatch.setattr(fluxes, "evolve_wavefunction", counted)
-        times = [t for tau in (0.0, 0.1, 0.2, 0.3) for t in oracle_times(tau, 1e-3)]
-        propagate_states(evaluate_state(coherent(1.0, 0.5), cgrid, 0.0), pure_quartic(), times, 5e-4)
-        assert steps["n"] == 2 + 602
-
-    def test_sweep_states_reproduce_the_stand_alone_oracle(self, pgrid, cgrid, quartic_orbit):
-        spec, pot = coherent(1.0, 0.5), pure_quartic()
-        region = OrbitRegion(quartic_orbit, pgrid)
-        times = [t for tau in (0.0, 0.25, 0.5) for t in oracle_times(tau, 1e-3)]
-        states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, times, 5e-4)
-        swept = oracle_rates(states, 0.5, region, BETAS)
-        alone = oracle(spec, pot, region, cgrid, BETAS, tau=0.5, dtau_evolve=5e-4)
-        for key in ("sigma", "svn", "purity", "renyi_2", "renyi_3"):
-            assert swept[key] == pytest.approx(alone[key], rel=1e-10, abs=0)
-
-    def test_missing_oracle_state_is_rejected(self, pgrid, cgrid, quartic_orbit):
-        spec, pot = coherent(1.0, 0.5), pure_quartic()
-        states = propagate_states(evaluate_state(spec, cgrid, 0.0), pot, oracle_times(0.0, 1e-3), 5e-4)
-        with pytest.raises(RejectionError, match="no oracle state"):
-            oracle_rates(states, 0.5, OrbitRegion(quartic_orbit, pgrid), ())
-
-    @pytest.mark.parametrize("times, dtau", [([1e308], 1e-3), ([1.0], 1e-320)])
-    def test_non_finite_step_count_rejected(self, cgrid, times, dtau):
-        # int(round(inf)) used to raise OverflowError
-        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
-        with pytest.raises(RejectionError, match="non-finite number of steps"):
-            propagate_states(phi0, pure_quartic(), times, dtau)
-
-    def test_step_count_above_the_guard_rejected(self, monkeypatch, cgrid):
-        # 1e-300 used to pass as a finite count of 2.5e299 steps, and the sweep never ended
-        monkeypatch.setattr(fluxes, "evolve_wavefunction", lambda *args: pytest.fail("a split step ran"))
-        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
-        with pytest.raises(RejectionError, match=r"needs 2.5e\+299 steps of 1e-300, more than the 1e\+08"):
-            propagate_states(phi0, pure_quartic(), [0.25], 1e-300)
-        assert fluxes.leg_steps(0.0, 1.0, 1.0 / fluxes.MAX_LEG_STEPS) == fluxes.MAX_LEG_STEPS
-        with pytest.raises(RejectionError, match="a leg may take"):
-            fluxes.leg_steps(0.0, 1.0, 1.0 / (fluxes.MAX_LEG_STEPS + 1))
-
-    def test_non_positive_step_rejected(self, cgrid):
-        phi0 = evaluate_state(coherent(1.0, 0.5), cgrid, 0.0)
-        with pytest.raises(RejectionError, match="dtau_evolve"):
-            propagate_states(phi0, pure_quartic(), [0.1], 0.0)

@@ -8,6 +8,7 @@ from wignerflow.errors import RejectionError
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.potentials import PotentialModel, harmonic, pure_quartic
 from wignerflow.states import (
+    EigenPropagator,
     Wavefunction,
     cat,
     coherent,
@@ -15,6 +16,7 @@ from wignerflow.states import (
     evolve_wavefunction,
     harmonic_eigenstate,
     hermite_function,
+    kinetic_matrix,
     superposition,
     wigner_transform,
 )
@@ -311,3 +313,105 @@ class TestEvolveWavefunction:
         phi0 = evaluate_state(harmonic_eigenstate(0), cgrid)
         with pytest.raises(RejectionError):
             evolve_wavefunction(phi0, harmonic(), 1e-3, -4)
+
+
+class TestEigenPropagator:
+    @pytest.mark.parametrize("n, h", [(16, 0.3), (64, 1 / 16)])
+    def test_kinetic_matrix_is_the_fft_kinetic_operator(self, n, h):
+        kappa = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+        reference = np.fft.ifft(0.5 * kappa[:, None] ** 2 * np.fft.fft(np.eye(n), axis=0), axis=0).real
+        assert np.max(np.abs(kinetic_matrix(n, h) - reference)) <= 1e-14 * np.max(reference)
+
+    def test_upsampling_is_the_trigonometric_interpolant(self):
+        # 8 samples of a real trigonometric polynomial up to the Nyquist
+        # frequency 4, whose cosine the interpolant keeps real
+        def f(theta):
+            return 1.0 + np.sin(theta) + 0.5 * np.cos(3.0 * theta) + 0.25 * np.cos(4.0 * theta)
+
+        coarse, fine = 2.0 * np.pi * np.arange(8) / 8, 2.0 * np.pi * np.arange(32) / 32
+        assert np.max(np.abs(states._upsample(f(coarse).astype(complex), 32) - f(fine))) <= 1e-14
+
+    @pytest.mark.parametrize("spec, tau, bound", [
+        (coherent(1.0, 0.5), 3.0, 3e-11),  # measured 1.1e-11
+        (cat(1.5, 0.0), 4.0, 2e-10),  # measured 7.2e-11
+    ], ids=["coherent", "cat"])
+    def test_harmonic_states_match_the_closed_form(self, spec, tau, bound, cgrid):
+        phi = EigenPropagator(evaluate_state(spec, cgrid), harmonic()).state(tau)
+        assert phi.tau == tau
+        assert np.max(np.abs(phi.values - evaluate_state(spec, cgrid, tau).values)) <= bound
+
+    @pytest.mark.parametrize("spec, bounds", [
+        (coherent(1.0, 0.5), (1e-6, 6e-8)),  # measured 7.1e-7 and 4.5e-8
+        (cat(1.5, 0.0), (2.5e-6, 1.5e-7)),  # measured 1.7e-6 and 1.1e-7
+    ], ids=["coherent", "cat"])
+    def test_split_steps_converge_to_it_as_dt_squared(self, spec, bounds, cgrid):
+        # the split-step error at tau = 1 falls 16-fold when dt falls 4-fold:
+        # the eigen state is far closer to the exact one than either
+        phi0 = evaluate_state(spec, cgrid)
+        exact = EigenPropagator(phi0, pure_quartic()).state(1.0).values
+        errors = [
+            np.max(np.abs(evolve_wavefunction(phi0, pure_quartic(), 1.0 / n, n).values - exact))
+            for n in (1000, 4000)
+        ]
+        assert errors[0] <= bounds[0] and errors[1] <= bounds[1]
+        assert 15.8 < errors[0] / errors[1] < 16.2
+
+    def test_initial_time_gives_phi0_itself_and_norm_is_kept(self, cgrid):
+        phi0 = evaluate_state(cat(1.5, 0.0), cgrid)
+        prop = EigenPropagator(phi0, pure_quartic())
+        assert prop.state(0.0) is phi0
+        for tau in (-3.0, 1e-3, 7.5):
+            assert abs(prop.state(tau).norm() - phi0.norm()) <= 1e-13
+
+    def test_benchmark_grid_starts_and_stays_at_every_4th_central_node(self, cgrid):
+        health = EigenPropagator(evaluate_state(coherent(1.0, 0.5), cgrid), pure_quartic()).health()
+        assert health["basis_nodes"] == 256
+        assert health["x_range"] == [cgrid.x[512], cgrid.x[1535]]
+        # measured 1.0e-12 and 1.9e-11
+        assert health["resolution_share"] <= 1e-11
+        assert health["edge_bound"] <= 1e-10
+
+    def test_high_momentum_state_halves_the_stride(self, cgrid):
+        # E = 450 lies above (pi / 4h)^2 / 8 = 315 but below (pi / 2h)^2 / 8
+        prop = EigenPropagator(evaluate_state(coherent(0.0, 30.0), cgrid), pure_quartic())
+        assert prop.stride == 2
+        assert prop.health()["basis_nodes"] == 512
+        assert prop.resolution_share <= states.RESOLUTION_LIMIT
+
+    @pytest.mark.parametrize("spec", [coherent(7.0, 0.0), coherent(0.0, 9.0)], ids=["displaced", "outbound"])
+    def test_state_beyond_the_central_half_widens_the_domain(self, spec, cgrid):
+        # coherent(7, 0) is 0.6 at x = 8 from the start; coherent(0, 9)
+        # starts inside and swings out to x = 9, which the edge bound of
+        # the central-half basis sees
+        prop = EigenPropagator(evaluate_state(spec, cgrid), harmonic())
+        assert prop.health()["x_range"] == [-16.0, 16.0]
+        assert prop.stride == 4
+        assert np.max(np.abs(prop.state(2.0).values - evaluate_state(spec, cgrid, 2.0).values)) <= 1e-12
+
+    def test_unresolved_state_is_rejected_at_stride_1(self):
+        # k0 = 15 on h = 16/127: E ~ 112 above (pi / h)^2 / 8 = 78
+        phi0 = evaluate_state(coherent(0.0, 15.0), CoordinateGrid(8.0, 128))
+        with pytest.raises(RejectionError, match=r"resolution share 9\.998e-01 exceeds 1e-08 with every coordinate node"):
+            EigenPropagator(phi0, harmonic())
+
+    def test_state_that_spreads_to_the_grid_edge_is_rejected(self):
+        # a free wave packet spreads over any periodic domain
+        phi0 = evaluate_state(coherent(0.0, 0.0), CoordinateGrid(8.0, 128))
+        with pytest.raises(RejectionError, match=r"edge bound 7\.496e-01 exceeds 1e-08 on the whole grid"):
+            EigenPropagator(phi0, PotentialModel("flat", (0.0,)))
+
+    def test_non_finite_potential_rejected(self, cgrid):
+        phi0 = evaluate_state(harmonic_eigenstate(0), cgrid)
+        blowup = PotentialModel("blowup", (0.0, 0.0, 1e308))
+        with pytest.raises(RejectionError, match="'blowup' is non-finite on the eigenbasis nodes"):
+            EigenPropagator(phi0, blowup)
+
+    def test_time_beyond_the_phase_limit_rejected(self, cgrid):
+        # eps * |tau| * (pi / h)^2 / 2 = 1 at |tau| = 2.23e11 on the benchmark grid
+        limit = 2.0 / (np.finfo(float).eps * (np.pi / cgrid.h) ** 2)
+        prop = EigenPropagator(evaluate_state(coherent(1.0, 0.5), cgrid), pure_quartic())
+        prop.state(-limit)
+        for tau in (1.01 * limit, -1e308, float("nan"), float("inf")):
+            with pytest.raises(RejectionError, match=r"beyond \|tau\| = 2\.23e\+11, where float64 keeps no phase"):
+                prop.state(tau)
+
