@@ -16,12 +16,7 @@ from .fluxes import (
     oracle_times,
     orbit_interior_mask,
     period_accumulation,
-    purity_flux,
     quantities,
-    renyi_flux,
-    sigma_flux,
-    svn_flux,
-    volume_term,
 )
 from .grid import (
     CoordinateGrid,

@@ -407,8 +407,8 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
             w = wigner_transform(phi, config.grid)
         with _stage("fluxes.instantaneous"):
             blk = fx.instantaneous_block(
-                w, orbit, config.potential, config.nu_max, config.beta_list,
-                config.epsilon_entropy, config.epsilon_mask, region,
+                w, region, config.potential, config.nu_max, config.beta_list,
+                config.epsilon_entropy, config.epsilon_mask,
             )
         with _stage("fluxes.oracle"):
             fx.attach_oracles(blk, propagator, region, config.beta_list, config.dtau_fd, config.epsilon_entropy)
@@ -426,8 +426,8 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
     if config.accumulate:
         with _stage("fluxes.period_accumulation"):
             accumulated = fx.period_accumulation(
-                propagator, orbit, config.nu_max, config.beta_list, pgrid=config.grid,
-                n_nodes=config.accumulation_nodes, epsilon_entropy=config.epsilon_entropy, region=region,
+                propagator, region, config.nu_max, config.beta_list, n_nodes=config.accumulation_nodes,
+                epsilon_entropy=config.epsilon_entropy, epsilon_mask=config.epsilon_mask,
             )
 
     report = {

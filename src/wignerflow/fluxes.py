@@ -24,23 +24,23 @@ the volume term all read that rule from the row.  The svn and purity
 densities are the integrands of observables.von_neumann_entropy and
 observables.purity.
 
-Each Wigner snapshot is evaluated once: a Snapshot computes Delta J_k
-(straight from the nu >= 1 series; no full current J is built), div(w) =
-d_k(Delta J_k / W) (two k-derivatives, none along x), one bicubic spline
-of W (spline.GridSpline, sampled on the orbit and at the region's
-quadrature nodes) and one of Delta J_k (sampled on the orbit) at most
-once each, and every loop flux, volume term and region quantity of that
-snapshot is read from those samples.
-What depends on the orbit and the grid alone is worked out once per
-orbit, not per snapshot: OrbitRegion's SamplingPlan holds the node span
-both splines are fitted on, the axes' slope operators that fit them, and
-the cell and Hermite weights of every orbit sample and quadrature node.
-Region quantities integrate over the orbit's own boundary by Green's
-theorem (OrbitRegion), with no lattice and no staircase.  Volume
-corrections are evaluated on the node window of their mask, the bounding
-box of its true nodes (about 1 % of the grid for the orbit interior,
-whose node mask OrbitRegion computes once per orbit): div(w), the W**p
-weight, the integrand and its quadrature never touch a node outside it.
+An OrbitRegion is built once per orbit and grid, and every snapshot
+reads its orbit, its grid and its spline sampling plan from it: the
+region is the one way they reach a snapshot.  A Snapshot evaluates one
+Wigner field on that grid once: Delta J_k (straight from the nu >= 1
+series; no full current J is built), div(w) = d_k(Delta J_k / W) (two
+k-derivatives, none along x), one bicubic spline of W (spline.GridSpline,
+sampled on the orbit and at the region's quadrature nodes) and one of
+Delta J_k (sampled on the orbit) at most once each, and every loop flux,
+volume term and region quantity of that snapshot is read from those
+samples.  The region's SamplingPlan holds the node span both splines are
+fitted on, the axes' slope operators that fit them, and the cell and
+Hermite weights of every orbit sample and quadrature node.  Region
+quantities integrate over the orbit's own boundary by Green's theorem,
+with no lattice and no staircase.  Volume corrections are evaluated on
+the region's node window, the bounding box of the orbit interior's node
+mask (about 1 % of the grid): div(w), the W**p weight, the integrand and
+its quadrature never touch a node outside it.
 
 The oracle, oracle_rates, cross-checks every row at once by central
 finite differences of its region quantity between the states at
@@ -197,7 +197,7 @@ def orbit_interior_mask(orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> np.ndarr
 
 
 class OrbitRegion:
-    """Quadrature over the orbit interior, built once per orbit.
+    """An orbit on a grid and the quadrature over its interior, built once per orbit.
 
     Region quantities use Green's theorem, int int_Omega g dx dk = loop
     integral of G dk with G(x, k) = int_{x_min}^{x} g(s, k) ds, which
@@ -213,10 +213,11 @@ class OrbitRegion:
     weights.  Volume corrections integrate over the plain boolean node
     mask instead, on its node window.
 
-    plan, built on first use and then shared by every snapshot on the
-    region's grid and orbit, is the spline.SamplingPlan of the orbit
-    samples ("orbit") and the quadrature nodes ("nodes"): the fitted node
-    span, the slope operators and each point's cell and Hermite weights.
+    The region holds everything of a snapshot that depends on the orbit and
+    the grid alone: the orbit, the grid, the interior mask and its window,
+    the quadrature nodes and weights, and plan, the spline.SamplingPlan of
+    the orbit samples ("orbit") and the quadrature nodes ("nodes"), built
+    on first use and shared by every snapshot on the region.
     """
 
     def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> None:
@@ -253,45 +254,43 @@ def _loop_sum(weights, delta_jk: np.ndarray, orbit: ClassicalOrbit) -> float:
     return float(np.sum(weights * delta_jk * orbit.vx) * orbit.dtau)
 
 
-@dataclass
-class VolumeTermResult:
-    value: float
-    masked_in_region: int
-
-    def __float__(self) -> float:
-        return self.value
-
-
 @dataclass(eq=False)
 class Snapshot:
-    """One Wigner snapshot and its derived fields, each computed at most once.
+    """One Wigner snapshot on an orbit region and its derived fields, each computed at most once.
 
-    Fields are lazy: region quantities need only the region and never sum
-    the current series; loop fluxes need the orbit (checked to lie two
-    cells inside the grid) and the potential, and read Delta J_k, the only
-    part of the current a snapshot builds; volume terms need the potential
-    and read div(w) = d_k(Delta J_k / W), computed once per node window
-    from Delta J_k and W alone.  A snapshot holds several grid-sized
+    The region gives the orbit, the grid (the field must lie on it) and the
+    sampling plan of both splines.  The orbit is checked to lie two cells
+    inside the grid.  Fields are lazy: region quantities never sum the
+    current series; loop fluxes need the potential and read Delta J_k, the
+    only part of the current a snapshot builds; volume terms need the
+    potential and read div(w) = d_k(Delta J_k / W), computed once per node
+    window from Delta J_k and W alone.  A snapshot holds several grid-sized
     arrays, so keep it no longer than its time node.
     """
 
     w: WignerField
-    orbit: ClassicalOrbit | None = None
+    region: OrbitRegion
     potential: PotentialModel | None = None
     nu_max: int = DEFAULT_NU_MAX
-    region: OrbitRegion | None = None
     epsilon_mask: float | None = None
     _divs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid, orbit = self.w.grid, self.orbit
-        if orbit is not None and (
+        if grid != self.region.grid:
+            raise RejectionError("the field's grid is not the orbit region's grid")
+        if (
             np.min(orbit.x) < grid.x_min + 2 * grid.h_x
             or np.max(orbit.x) > grid.x_max - 2 * grid.h_x
             or np.min(orbit.k) < grid.k_min + 2 * grid.h_k
             or np.max(orbit.k) > grid.k_max - 2 * grid.h_k
         ):
             raise RejectionError("orbit leaves the safe grid interior (two-cell margin)")
+
+    @property
+    def orbit(self) -> ClassicalOrbit:
+        """The region's orbit, along which the loop fluxes run."""
+        return self.region.orbit
 
     @cached_property
     def dj_k(self) -> np.ndarray:
@@ -306,20 +305,9 @@ class Snapshot:
         return self._divs[key]
 
     @cached_property
-    def plan(self) -> SamplingPlan:
-        """Where W and Delta J_k are fitted and sampled: the region's plan when it covers this orbit."""
-        region, orbit = self.region, self.orbit
-        if region is not None and region.grid == self.w.grid and (orbit is None or orbit is region.orbit):
-            return region.plan
-        points = {} if orbit is None else {"orbit": (orbit.x, orbit.k)}
-        if region is not None:
-            points["nodes"] = region.nodes
-        return SamplingPlan(self.w.grid, **points)
-
-    @cached_property
     def w_spline(self) -> GridSpline:
-        """W's spline, fitted on the plan's span."""
-        return GridSpline(self.w.grid, self.w.values, self.plan)
+        """W's spline, fitted on the region's plan."""
+        return GridSpline(self.w.values, self.region.plan)
 
     @cached_property
     def w_on(self) -> np.ndarray:
@@ -328,8 +316,8 @@ class Snapshot:
 
     @cached_property
     def dj_on(self) -> np.ndarray:
-        """Delta J_k at the orbit samples, from a spline fitted on the plan's span."""
-        return GridSpline(self.w.grid, self.dj_k, self.plan).at("orbit")
+        """Delta J_k at the orbit samples, from a spline fitted on the region's plan."""
+        return GridSpline(self.dj_k, self.region.plan).at("orbit")
 
     @cached_property
     def region_w(self) -> np.ndarray:
@@ -365,14 +353,20 @@ class Snapshot:
         sign, weight = q.loop
         return sign * _loop_sum(weight(w_on), self.dj_on, self.orbit)
 
-    def volume(self, q: Quantity, mask: np.ndarray | None = None, window: Window | None = None) -> VolumeTermResult:
-        """Unsigned volume correction int p(W) div(w) dV of one row over a node mask (see volume_term).
+    def volume(self, q: Quantity, mask: np.ndarray | None = None) -> tuple[float, int]:
+        """Unsigned volume correction int p(W) div(w) dV of one row over a node mask.
 
-        Evaluated on the mask's node window: window if given (it must hold
-        every true node of mask), else the bounding box of mask, or the
-        whole grid for mask None.
+        mask None is the orbit interior, evaluated on the region's window;
+        any other mask is evaluated on its own node window, the bounding box
+        of its true nodes.  div(w), p(W) and the quadrature never touch a
+        node outside the window.  Nodes where the phase-velocity quotient is
+        masked contribute zero; returns the value and their count within the
+        mask.  A fractional row is rejected when W has negative nodes above
+        the floor anywhere on the grid.
         """
-        if window is None:
+        if mask is None:
+            mask, window = self.region.mask, self.region.window
+        else:
             window = node_window(self.w.grid.shape, mask)
         dv = self.div(window)
         if q.fractional:
@@ -380,10 +374,9 @@ class Snapshot:
             require_power_domain(self.w.values, q.beta)
         _, p = q.volume
         integrand = p(self.w.values[window]) * dv.values
-        keep = dv.valid if mask is None else (dv.valid & mask[window])
-        n_region = self.w.values.size if mask is None else int(np.count_nonzero(mask))
-        masked = n_region - int(np.count_nonzero(keep))
-        return VolumeTermResult(integrate_volume(self.w.grid, integrand, mask=keep, window=window), masked)
+        keep = dv.valid & mask[window]
+        masked = int(np.count_nonzero(mask)) - int(np.count_nonzero(keep))
+        return integrate_volume(self.w.grid, integrand, mask=keep, window=window), masked
 
     def quantity(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> float:
         """Region quantity of one row: factor * int density(W) over the orbit interior."""
@@ -409,9 +402,9 @@ class Snapshot:
             entry["full"] = flux
         else:
             try:
-                vt = self.volume(q, self.region.mask, self.region.window)
+                value, masked = self.volume(q)
                 sign, _ = q.volume
-                entry.update(volume_term=vt.value, masked_nodes=vt.masked_in_region, full=flux + sign * vt.value)
+                entry.update(volume_term=value, masked_nodes=masked, full=flux + sign * value)
             except RejectionError as exc:
                 if not per_entry:
                     raise
@@ -432,72 +425,6 @@ class Snapshot:
         block: dict = {"tau": self.w.tau, **{q.name: e for q, e in entries if q.beta is None}}
         block["renyi"] = {q.tag: e for q, e in entries if q.beta is not None}
         return block
-
-
-def sigma_flux(w: WignerField, orbit: ClassicalOrbit, potential: PotentialModel, nu_max: int = DEFAULT_NU_MAX) -> float:
-    """Probability flux across the orbit: instantaneous rate of the enclosed probability."""
-    return Snapshot(w, orbit, potential, nu_max).loop(SIGMA)
-
-
-def svn_flux(
-    w: WignerField,
-    orbit: ClassicalOrbit,
-    potential: PotentialModel,
-    nu_max: int = DEFAULT_NU_MAX,
-    epsilon: float = ENTROPY_FLOOR,
-) -> float:
-    """ln|W|-weighted loop flux (positive sign as printed).
-
-    Rejects when the orbit touches nodes with |W| <= epsilon; a silently
-    floored weight would bias the integral.
-    """
-    return Snapshot(w, orbit, potential, nu_max).loop(SVN, epsilon)
-
-
-def purity_flux(
-    w: WignerField, orbit: ClassicalOrbit, potential: PotentialModel, nu_max: int = DEFAULT_NU_MAX
-) -> float:
-    """W-weighted loop flux, the loop form of the purity rate (no 2 pi factor)."""
-    return Snapshot(w, orbit, potential, nu_max).loop(PURITY)
-
-
-def renyi_flux(
-    w: WignerField,
-    orbit: ClassicalOrbit,
-    potential: PotentialModel,
-    nu_max: int = DEFAULT_NU_MAX,
-    beta: float = 2.0,
-    floor: float = ENTROPY_FLOOR,
-) -> float:
-    """W**(beta-1)-weighted loop flux; beta follows the Renyi-entropy rules.
-
-    A fractional beta rejects negative orbit samples above the floor, and
-    beta < 1, whose weight is singular at W = 0, also |W| <= floor.
-    """
-    return Snapshot(w, orbit, potential, nu_max).loop(renyi(beta), floor)
-
-
-def volume_term(
-    w: WignerField,
-    potential: PotentialModel,
-    nu_max: int = DEFAULT_NU_MAX,
-    epsilon: float | None = None,
-    region: np.ndarray | None = None,
-    weight: str | float = "one",
-) -> VolumeTermResult:
-    """Volume correction int weight * W * div(w) dV over a node-mask region.
-
-    weight "one" gives the entropy-balance term int W div(w); weight "w"
-    gives the purity term int W^2 div(w); a float beta gives the Renyi term
-    (beta - 1) int W**beta div(w).  Nodes where the phase-velocity quotient
-    is masked contribute zero and are counted.  div(w), the weight and the
-    quadrature are evaluated on the region's node window (the bounding box
-    of its true nodes; the whole grid for region None), and only its nodes
-    are checked for non-finite values; a non-integer beta is still rejected
-    when W has negative nodes above the floor anywhere on the grid.
-    """
-    q = SVN if weight == "one" else PURITY if weight == "w" else renyi(float(weight))
-    return Snapshot(w, potential=potential, nu_max=nu_max, epsilon_mask=epsilon).volume(q, region)
 
 
 def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
@@ -524,7 +451,7 @@ def oracle_rates(
     if not (np.isfinite(dtau_fd) and dtau_fd > 0):
         raise RejectionError(f"dtau_fd must be positive and finite, got {dtau_fd}")
     times = oracle_times(tau, dtau_fd)
-    pair = [Snapshot(wigner_transform(propagator.state(t), region.grid), region=region) for t in times]
+    pair = [Snapshot(wigner_transform(propagator.state(t), region.grid), region) for t in times]
     out = {}
     for q in quantities(betas):
         try:
@@ -545,26 +472,25 @@ def _rel_dev(value: float, reference: float, floor: float = 1e-12) -> float:
 
 def instantaneous_block(
     w: WignerField,
-    orbit: ClassicalOrbit,
+    region: OrbitRegion,
     potential: PotentialModel,
     nu_max: int,
     betas,
     epsilon_entropy: float = ENTROPY_FLOOR,
     epsilon_mask: float | None = None,
-    region: OrbitRegion | None = None,
 ) -> dict:
-    """All loop fluxes, volume terms and balance forms at the field's time tag.
+    """All loop fluxes, volume terms and balance forms of W on the region's orbit, at W's time tag.
 
     The balance ("full") forms pair each loop value with its volume
-    correction so that they should match the oracle rates:
+    correction over the orbit interior so that they should match the
+    oracle rates:
         sigma_full  = sigma_loop
         svn_full    = svn_loop + int W div(w)
         purity_full = purity_loop - int W^2 div(w)      (oracle carries 2 pi)
         renyi_full  = renyi_loop - (beta-1) int W**beta div(w)
+    epsilon_mask is the |W| floor of the phase-velocity quotient in div(w).
     """
-    if region is None:
-        region = OrbitRegion(orbit, w.grid)
-    return Snapshot(w, orbit, potential, nu_max, region, epsilon_mask).block(betas, epsilon_entropy)
+    return Snapshot(w, region, potential, nu_max, epsilon_mask).block(betas, epsilon_entropy)
 
 
 def attach_oracles(
@@ -619,16 +545,15 @@ def _region_quantities(snap: Snapshot, rows, floor: float) -> dict:
 
 def period_accumulation(
     propagator: EigenPropagator,
-    orbit: ClassicalOrbit,
+    region: OrbitRegion,
     nu_max: int,
     betas,
     *,
-    pgrid: PhaseSpaceGrid,
     n_nodes: int = 32,
     epsilon_entropy: float = ENTROPY_FLOOR,
-    region: OrbitRegion | None = None,
+    epsilon_mask: float | None = None,
 ) -> dict:
-    """Period-accumulated forms of every flux.
+    """Period-accumulated forms of every flux over one period of the region's orbit.
 
     Each time node's snapshot is evaluated once and serves all four values
     per quantity:
@@ -644,7 +569,8 @@ def period_accumulation(
 
     The state at each of the n_nodes + 1 equally spaced nodes tau_j on
     [0, T] comes from the propagator, the run's one eigen expansion, under
-    whose potential the snapshots are evaluated; each state is dropped
+    whose potential the snapshots are evaluated on the region's grid, with
+    the same epsilon_mask as instantaneous_block; each state is dropped
     once its snapshot is.
 
     Once nodal lines of W enter the region, the svn volume integrand
@@ -652,8 +578,7 @@ def period_accumulation(
     meaning; direct_change stays reliable and the reported deviation makes
     the breakdown explicit.
     """
-    if region is None:
-        region = OrbitRegion(orbit, pgrid)
+    orbit = region.orbit
     T = orbit.period
     taus = np.linspace(0.0, T, n_nodes + 1)
     rows = quantities(betas)
@@ -666,7 +591,7 @@ def period_accumulation(
 
     for j, tau_j in enumerate(taus):
         phi = propagator.state(tau_j)
-        snap = Snapshot(wigner_transform(phi, pgrid), orbit, propagator.potential, nu_max, region)
+        snap = Snapshot(wigner_transform(phi, region.grid), region, propagator.potential, nu_max, epsilon_mask)
         blk = snap.block(betas, epsilon_entropy)
         # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
         i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size

@@ -29,9 +29,11 @@ operator, the matrix S with S @ y == slopes(y, h) up to rounding
 (slope_operator, built from slopes of the identity and cached per node
 count and spacing), and a fit is three matrix products with the two
 operators.  A SamplingPlan holds what does not depend on the field: the
-node span that the points to be sampled need, the operators, and each
-point's cell and Hermite weights; fields sampled at the same points, as
-every snapshot's W and Delta J_k are on an orbit, share one plan.
+grid, the node span that its named point sets need, the operators, and
+each point's cell and Hermite weights.  Every GridSpline is fitted on a
+plan and sampled at the plan's point sets by name, so fields sampled at
+the same points, as every snapshot's W and Delta J_k are on an orbit,
+share one plan.
 """
 
 from __future__ import annotations
@@ -202,11 +204,10 @@ class SamplingPlan:
 
     def __init__(self, grid: PhaseSpaceGrid, **points: tuple[np.ndarray, np.ndarray]) -> None:
         self.grid = grid
-        self._x, self._k = grid.x, grid.k
         if points:
             xs, ks = (np.concatenate(axis) for axis in zip(*points.values()))
-            self.rows = _node_span(xs, self._x, grid.h_x)
-            self.cols = _node_span(ks, self._k, grid.h_k)
+            self.rows = _node_span(xs, grid.x, grid.h_x)
+            self.cols = _node_span(ks, grid.k, grid.h_k)
         else:
             self.rows, self.cols = slice(0, grid.n_x), slice(0, grid.n_k)
         self.s_x = slope_operator(grid.n_x, grid.h_x)
@@ -215,8 +216,8 @@ class SamplingPlan:
 
     def locate(self, x, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cells within the span and x- and k-Hermite weights of the points (x[n], k[n])."""
-        i, wx = _locate(x, self._x, self.grid.h_x, self.rows)
-        j, wk = _locate(k, self._k, self.grid.h_k, self.cols)
+        i, wx = _locate(x, self.grid.x, self.grid.h_x, self.rows)
+        j, wk = _locate(k, self.grid.k, self.grid.h_k, self.cols)
         return i * (self.cols.stop - self.cols.start - 1) + j, wx, wk
 
 
@@ -240,8 +241,8 @@ class GridSpline:
     columns interleave values and h_k-scaled k-slopes; the cell (i, j) reads
     the 4 x 4 block at rows 2i.. and columns 2j...  Each cell's block is
     kept as one row of cells, so a sample gathers 16 contiguous numbers.
-    The table covers the span of a SamplingPlan: near is the plan, or the
-    points (x, k) to build one for, or None for the whole grid.
+    The table covers the span of the SamplingPlan it is fitted on, whose
+    grid is the field's; a whole-grid fit is SamplingPlan(grid).
 
     The slopes are matrix products with the plan's slope operators:
     fx = S_x W, fk = W S_k^T and the cross slopes fxk = S_x fk, with fk
@@ -256,17 +257,12 @@ class GridSpline:
     their last bits.
     """
 
-    def __init__(self, grid: PhaseSpaceGrid, values: np.ndarray, near: SamplingPlan | tuple | None = None) -> None:
+    def __init__(self, values: np.ndarray, plan: SamplingPlan) -> None:
+        grid = plan.grid
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise RejectionError(f"field shape {values.shape} does not match grid {grid.shape}")
-        if isinstance(near, SamplingPlan):
-            plan = near
-        else:
-            plan = SamplingPlan(grid) if near is None else SamplingPlan(grid, near=near)
-        if plan.grid != grid:
-            raise RejectionError("the sampling plan belongs to another grid")
-        self.grid, self.plan = grid, plan
+        self.plan = plan
         rows, cols = plan.rows, plan.cols
         row_blocks, col_blocks = _aligned_blocks(rows, grid.n_x), _aligned_blocks(cols, grid.n_k)
         top, left = row_blocks[0].start, col_blocks[0].start
@@ -287,15 +283,8 @@ class GridSpline:
         #: The 4 x 4 block of each cell of the span, flattened, cells in row-major order.
         self.cells = sliding_window_view(table, (4, 4))[::2, ::2].reshape(-1, 16)
 
-    def _sample(self, cell: np.ndarray, wx: np.ndarray, wk: np.ndarray) -> np.ndarray:
-        """Values at points located in the cells with Hermite weights wx, wk."""
-        block = self.cells.take(cell, axis=0).reshape(-1, 4, 4)
-        return np.einsum("np,np->n", np.einsum("npq,nq->np", block, wk), wx)
-
-    def ev(self, x, k) -> np.ndarray:
-        """Spline values at the points (x[i], k[i])."""
-        return self._sample(*self.plan.locate(x, k))
-
     def at(self, name: str) -> np.ndarray:
         """Spline values at the plan's point set of that name."""
-        return self._sample(*self.plan.located[name])
+        cell, wx, wk = self.plan.located[name]
+        block = self.cells.take(cell, axis=0).reshape(-1, 4, 4)
+        return np.einsum("np,np->n", np.einsum("npq,nq->np", block, wk), wx)

@@ -62,6 +62,8 @@ REJECTED_IN_RUN = {
     "potential non-finite on the eigenbasis": (
         {"potential": {"kind": "quartic_perturbed", "lambda": 1e306}}, "states.propagator",
     ),
+    # k reaches 7.7 on the grid of k_max = 8 and spacing 16/63: inside the grid, not two cells inside
+    "orbit inside the two-cell margin": ({"orbit": {"x0": 1.0, "k0": 7.7}}, "fluxes.instantaneous"),
 }
 
 
@@ -242,6 +244,21 @@ def test_oracle_differentiates_the_state_whose_flux_it_checks(tmp_path, monkeypa
         for q in fluxes.quantities(config.beta_list):
             if not isinstance(rates[q.key], Exception):
                 assert q.entry(block)["oracle"] == rates[q.key]
+
+
+def test_every_div_w_reads_the_configured_epsilon_mask(tmp_path, monkeypatch):
+    # the output blocks and every accumulation node mask the same quotient
+    seen = []
+
+    def recorded(w, dj_k, epsilon, window, _div_w=fluxes.div_w):
+        seen.append(epsilon)
+        return _div_w(w, dj_k, epsilon, window)
+
+    monkeypatch.setattr(fluxes, "div_w", recorded)
+    config = parse_config({**SMALL, "epsilon_mask": 1e-3, "accumulation": {"enabled": True, "time_nodes": 4}})
+    cli.run(config, tmp_path / "out")
+    assert len(seen) == len(SMALL["output_times"]) + 5
+    assert seen == [1e-3] * len(seen)
 
 
 def test_report_records_the_propagator_health(tmp_path):

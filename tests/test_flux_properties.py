@@ -43,7 +43,7 @@ def field(spec: StateSpec):
 
 
 def snapshot(spec, orbit, potential):
-    return Snapshot(field(spec), orbit, potential, region=REGIONS[id(orbit)])
+    return Snapshot(field(spec), REGIONS[id(orbit)], potential)
 
 
 def loop(snap, q):
@@ -57,7 +57,7 @@ def loop(snap, q):
 def volume(snap, q):
     """The row's volume term over the region, or None where it rejects."""
     try:
-        return snap.volume(q, snap.region.mask, snap.region.window).value
+        return snap.volume(q)[0]
     except RejectionError:
         return None
 

@@ -12,7 +12,9 @@ from wignerflow import fluxes, spline
 from wignerflow.classical import solve_orbit
 from wignerflow.errors import RejectionError
 from wignerflow.fluxes import (
+    PURITY,
     SIGMA,
+    SVN,
     OrbitRegion,
     Snapshot,
     attach_oracles,
@@ -21,13 +23,8 @@ from wignerflow.fluxes import (
     oracle_times,
     orbit_interior_mask,
     period_accumulation,
-    purity_flux,
     quantities,
     renyi,
-    renyi_flux,
-    sigma_flux,
-    svn_flux,
-    volume_term,
 )
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import delta_current, div_w
@@ -61,9 +58,19 @@ def whole_grid_volume(w, pot, mask, weight):
     )
 
 
+def snapshot(w, orbit, pot=None, nu_max=2):
+    """A snapshot of w on the orbit's region of w's grid."""
+    return Snapshot(w, OrbitRegion(orbit, w.grid), pot, nu_max)
+
+
 def on_orbit(grid, values, orbit):
     """Bicubic samples of a grid field at the orbit points."""
-    return Snapshot(WignerField(values, grid), orbit).w_on
+    return snapshot(WignerField(values, grid), orbit).w_on
+
+
+def row(weight):
+    """The flux-table row of a volume weight: "one" (svn), "w" (purity) or a Renyi beta."""
+    return {"one": SVN, "w": PURITY}.get(weight) or renyi(float(weight))
 
 
 def propagator(spec, pot, cgrid):
@@ -107,6 +114,12 @@ class TestInterpolateOnOrbit:
         with pytest.raises(RejectionError, match="safe grid interior"):
             on_orbit(tight, np.ones(tight.shape), harmonic_orbit)
 
+    def test_field_on_another_grid_rejected(self, gaussian_w, harmonic_orbit):
+        # the region's sampling plan belongs to its own grid
+        other = PhaseSpaceGrid.centered(8.0, 8.0, 128, 128)
+        with pytest.raises(RejectionError, match="not the orbit region's grid"):
+            Snapshot(gaussian_w, OrbitRegion(harmonic_orbit, other))
+
 
 class TestInteriorMask:
     def test_mask_area_matches_circle(self, pgrid, harmonic_orbit):
@@ -121,7 +134,7 @@ QUARTIC_AREA = math.gamma(0.25) * math.gamma(1.5) / (math.sqrt(2.0) * math.gamma
 
 
 def region_area(orbit, grid):
-    return Snapshot(WignerField(np.ones(grid.shape), grid), region=OrbitRegion(orbit, grid)).quantity(SIGMA)
+    return Snapshot(WignerField(np.ones(grid.shape), grid), OrbitRegion(orbit, grid)).quantity(SIGMA)
 
 
 class TestRegionQuadrature:
@@ -140,94 +153,86 @@ class TestRegionQuadrature:
 
     def test_gaussian_mass_inside_the_harmonic_orbit(self, pgrid, gaussian_w, harmonic_orbit):
         # pi^-1 exp(-r^2) over the disc r < 2
-        mass = Snapshot(gaussian_w, region=OrbitRegion(harmonic_orbit, pgrid)).quantity(SIGMA)
+        mass = Snapshot(gaussian_w, OrbitRegion(harmonic_orbit, pgrid)).quantity(SIGMA)
         assert mass == pytest.approx(1.0 - np.exp(-4.0), rel=1e-7)
 
 
 class TestClassicalLimitNullity:
     @pytest.mark.parametrize("state", ["ground", "excited", "cat"])
     def test_all_fluxes_vanish_for_harmonic(self, state, request, harmonic_orbit):
-        w = request.getfixturevalue(f"{state}_w")
-        pot = harmonic()
-        assert abs(sigma_flux(w, harmonic_orbit, pot, 2)) < 1e-10
-        assert abs(svn_flux(w, harmonic_orbit, pot, 2)) < 1e-10
-        assert abs(purity_flux(w, harmonic_orbit, pot, 2)) < 1e-10
+        snap = snapshot(request.getfixturevalue(f"{state}_w"), harmonic_orbit, harmonic())
+        assert abs(snap.loop(SIGMA)) < 1e-10
+        assert abs(snap.loop(SVN)) < 1e-10
+        assert abs(snap.loop(PURITY)) < 1e-10
         for beta in BETAS:
-            assert abs(renyi_flux(w, harmonic_orbit, pot, 2, beta)) < 1e-10
+            assert abs(snap.loop(renyi(beta))) < 1e-10
 
     def test_truncation_gate_gives_exact_zero(self, offset_gaussian_w, quartic_orbit):
         # nu_max = 0 removes every quantum term: Delta J is identically zero
-        pot = pure_quartic()
-        assert sigma_flux(offset_gaussian_w, quartic_orbit, pot, 0) == 0.0
-        assert svn_flux(offset_gaussian_w, quartic_orbit, pot, 0) == 0.0
-        assert purity_flux(offset_gaussian_w, quartic_orbit, pot, 0) == 0.0
-        assert renyi_flux(offset_gaussian_w, quartic_orbit, pot, 0, 3.0) == 0.0
+        snap = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic(), 0)
+        assert snap.loop(SIGMA) == 0.0
+        assert snap.loop(SVN) == 0.0
+        assert snap.loop(PURITY) == 0.0
+        assert snap.loop(renyi(3.0)) == 0.0
 
 
 class TestLoopFluxAlgebra:
     def test_beta_two_equals_purity_flux(self, offset_gaussian_w, quartic_orbit):
-        pot = pure_quartic()
-        assert renyi_flux(offset_gaussian_w, quartic_orbit, pot, 2, 2.0) == purity_flux(
-            offset_gaussian_w, quartic_orbit, pot, 2
-        )
+        snap = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic())
+        assert snap.loop(renyi(2.0)) == snap.loop(PURITY)
 
     def test_orientation_reversal_flips_every_flux(self, offset_gaussian_w, quartic_orbit):
-        pot = pure_quartic()
-        rev = quartic_orbit.reversed()
-        for flux in (sigma_flux, purity_flux):
-            a = flux(offset_gaussian_w, quartic_orbit, pot, 2)
-            b = flux(offset_gaussian_w, rev, pot, 2)
-            assert b == pytest.approx(-a, rel=1e-12)
-        a = svn_flux(offset_gaussian_w, quartic_orbit, pot, 2)
-        b = svn_flux(offset_gaussian_w, rev, pot, 2)
-        assert b == pytest.approx(-a, rel=1e-12)
+        fwd = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic())
+        rev = snapshot(offset_gaussian_w, quartic_orbit.reversed(), pure_quartic())
+        for q in (SIGMA, PURITY, SVN):
+            assert rev.loop(q) == pytest.approx(-fwd.loop(q), rel=1e-12)
 
     def test_rescaled_field_shifts_svn_by_log_times_sigma(self, offset_gaussian_w, quartic_orbit):
         # ln(cW) = ln c + ln W and Delta J scales linearly, so
         # svn(cW) = c svn(W) - c ln(c) sigma(W)
         pot = pure_quartic()
         c = 1.7
-        svn1 = svn_flux(offset_gaussian_w, quartic_orbit, pot, 2)
-        sig1 = sigma_flux(offset_gaussian_w, quartic_orbit, pot, 2)
+        snap = snapshot(offset_gaussian_w, quartic_orbit, pot)
+        svn1, sig1 = snap.loop(SVN), snap.loop(SIGMA)
         scaled = WignerField(c * offset_gaussian_w.values, offset_gaussian_w.grid)
         with pytest.warns(RuntimeWarning, match="unnormalized"):
-            svn2 = svn_flux(scaled, quartic_orbit, pot, 2)
+            svn2 = Snapshot(scaled, snap.region, pot, 2).loop(SVN)
         assert svn2 == pytest.approx(c * svn1 - c * np.log(c) * sig1, rel=1e-10)
 
     def test_beta_near_one_approaches_sigma_minus_svn_correction(
         self, offset_gaussian_w, quartic_orbit
     ):
         # W**(beta-1) = 1 + (beta-1) ln W + O((beta-1)^2)
-        pot = pure_quartic()
+        snap = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic())
         delta = 1e-4
-        r = renyi_flux(offset_gaussian_w, quartic_orbit, pot, 2, 1.0 + delta)
-        sig = sigma_flux(offset_gaussian_w, quartic_orbit, pot, 2)
-        svn = svn_flux(offset_gaussian_w, quartic_orbit, pot, 2)
+        r = snap.loop(renyi(1.0 + delta))
+        sig = snap.loop(SIGMA)
+        svn = snap.loop(SVN)
         assert r == pytest.approx(sig - delta * svn, rel=1e-2)
 
     def test_svn_rejects_orbit_through_small_w(self, offset_gaussian_w, quartic_orbit):
         with pytest.raises(RejectionError, match="<= epsilon"):
-            svn_flux(offset_gaussian_w, quartic_orbit, pure_quartic(), 2, epsilon=1.0)
+            snapshot(offset_gaussian_w, quartic_orbit, pure_quartic()).loop(SVN, epsilon=1.0)
 
     def test_renyi_rejects_negative_samples_for_fractional_beta(self, excited_w):
         # the first excited state is negative inside r < 1/sqrt(2)
         inner = solve_orbit(harmonic(), (0.5, 0.0))
         with pytest.raises(RejectionError, match="negative orbit samples"):
-            renyi_flux(excited_w, inner, harmonic(), 2, 0.5)
+            snapshot(excited_w, inner, harmonic()).loop(renyi(0.5))
 
     def test_renyi_invalid_beta_rejected(self, ground_w, harmonic_orbit):
         with pytest.raises(RejectionError):
-            renyi_flux(ground_w, harmonic_orbit, harmonic(), 2, 1.0)
+            snapshot(ground_w, harmonic_orbit, harmonic()).loop(renyi(1.0))
 
     def test_renyi_below_one_rejects_zero_w_like_svn(self, pgrid, quartic_orbit):
         # |W|**(beta-1) is singular at W = 0 for beta < 1, as ln|W| is
-        zero = WignerField(np.zeros(pgrid.shape), pgrid)
+        snap = snapshot(WignerField(np.zeros(pgrid.shape), pgrid), quartic_orbit, pure_quartic())
         with pytest.warns(RuntimeWarning, match="unnormalized"), pytest.raises(RejectionError) as svn:
-            svn_flux(zero, quartic_orbit, pure_quartic(), 2)
+            snap.loop(SVN)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RejectionError) as ren:
-                renyi_flux(zero, quartic_orbit, pure_quartic(), 2, 0.5)
+                snap.loop(renyi(0.5))
         assert str(ren.value) == str(svn.value)
         assert str(ren.value).startswith("|W|=0.000e+00 <= epsilon at orbit sample 0")
 
@@ -235,8 +240,7 @@ class TestLoopFluxAlgebra:
     def test_per_point_form_reads_the_loop_domain(self, level, pgrid, quartic_orbit):
         # On a constant field every orbit sample is W = level: the loop
         # rejects exactly where the per-point form is NaN.
-        w = WignerField(np.full(pgrid.shape, level), pgrid)
-        snap = Snapshot(w, quartic_orbit, pure_quartic())
+        snap = snapshot(WignerField(np.full(pgrid.shape, level), pgrid), quartic_orbit, pure_quartic())
         for q in quantities((0.5, 2.0, 2.5)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -250,10 +254,9 @@ class TestLoopFluxAlgebra:
 
 
 class TestVolumeTerm:
-    def test_harmonic_flow_gives_zero(self, ground_w, harmonic_orbit, pgrid):
-        mask = orbit_interior_mask(harmonic_orbit, pgrid)
-        vt = volume_term(ground_w, harmonic(), 2, None, mask, "one")
-        assert abs(vt.value) < 1e-8
+    def test_harmonic_flow_gives_zero(self, ground_w, harmonic_orbit):
+        value, _ = snapshot(ground_w, harmonic_orbit, harmonic()).volume(SVN)
+        assert abs(value) < 1e-8
 
     def test_weight_variants_match_manual_integrands(self, offset_gaussian_w, quartic_orbit, pgrid):
         mask = orbit_interior_mask(quartic_orbit, pgrid)
@@ -263,10 +266,11 @@ class TestVolumeTerm:
         keep = dv.valid & mask
         ref_one = integrate_volume(pgrid, w.values * dv.values, mask=keep)
         ref_w = integrate_volume(pgrid, w.values**2 * dv.values, mask=keep)
-        assert volume_term(w, pot, 2, None, mask, "one").value == pytest.approx(ref_one, rel=1e-14)
-        assert volume_term(w, pot, 2, None, mask, "w").value == pytest.approx(ref_w, rel=1e-14)
+        snap = snapshot(w, quartic_orbit, pot)
+        assert snap.volume(SVN)[0] == pytest.approx(ref_one, rel=1e-14)
+        assert snap.volume(PURITY)[0] == pytest.approx(ref_w, rel=1e-14)
         # Renyi weight carries the (beta - 1) prefactor; beta = 2 reduces to w
-        assert volume_term(w, pot, 2, None, mask, 2.0).value == pytest.approx(ref_w, rel=1e-14)
+        assert snap.volume(renyi(2.0))[0] == pytest.approx(ref_w, rel=1e-14)
 
     # A node window sums the same node values in a different order, so the
     # bound is relative to the integrand's magnitude: a cat state's volume
@@ -277,43 +281,44 @@ class TestVolumeTerm:
         w = request.getfixturevalue(field)
         mask = orbit_interior_mask(quartic_orbit, pgrid)
         ref, ref_masked, scale = whole_grid_volume(w, pure_quartic(), mask, weight)
-        vt = volume_term(w, pure_quartic(), 2, None, mask, weight)
+        value, masked = snapshot(w, quartic_orbit, pure_quartic()).volume(row(weight))
         assert scale > 0.0
-        assert abs(vt.value - ref) <= 1e-14 * scale
-        assert vt.masked_in_region == ref_masked
+        assert abs(value - ref) <= 1e-14 * scale
+        assert masked == ref_masked
 
     @pytest.mark.parametrize("weight", ["one", "w", 2.0, 3.0])
     @pytest.mark.parametrize("mask_name", ["low", "high", "strip", "all"])
-    def test_edge_masks_match_the_whole_grid(self, mask_name, weight, wide_w, pgrid):
+    def test_edge_masks_match_the_whole_grid(self, mask_name, weight, wide_w, pgrid, quartic_orbit):
         w, mask = wide_w, edge_masks(pgrid)[mask_name]
         ref, ref_masked, scale = whole_grid_volume(w, pure_quartic(), mask, weight)
-        vt = volume_term(w, pure_quartic(), 2, None, mask, weight)
+        value, masked = snapshot(w, quartic_orbit, pure_quartic()).volume(row(weight), mask)
         assert abs(ref) > 0.0
-        assert abs(vt.value - ref) <= 1e-14 * scale
-        assert vt.masked_in_region == ref_masked
+        assert abs(value - ref) <= 1e-14 * scale
+        assert masked == ref_masked
 
     @pytest.mark.parametrize("weight", ["one", "w", 3.0])
-    def test_no_mask_is_the_whole_grid(self, weight, offset_gaussian_w):
+    def test_no_mask_is_the_whole_grid(self, weight, offset_gaussian_w, quartic_orbit):
         ref, ref_masked, _ = whole_grid_volume(offset_gaussian_w, pure_quartic(), None, weight)
-        vt = volume_term(offset_gaussian_w, pure_quartic(), 2, None, None, weight)
-        assert (vt.value, vt.masked_in_region) == (ref, ref_masked)
+        whole = np.ones(offset_gaussian_w.grid.shape, dtype=bool)
+        snap = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic())
+        assert snap.volume(row(weight), whole) == (ref, ref_masked)
 
-    def test_empty_mask_gives_zero(self, offset_gaussian_w, pgrid):
+    def test_empty_mask_gives_zero(self, offset_gaussian_w, pgrid, quartic_orbit):
         empty = np.zeros(pgrid.shape, dtype=bool)
+        snap = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic())
         for weight in ("one", "w", 3.0):
-            vt = volume_term(offset_gaussian_w, pure_quartic(), 2, None, empty, weight)
-            assert (vt.value, vt.masked_in_region) == (0.0, 0)
+            assert snap.volume(row(weight), empty) == (0.0, 0)
 
     @pytest.mark.parametrize("mask_name", ["region", "empty"])
     def test_fractional_beta_rejection_counts_the_whole_grid(self, mask_name, offset_gaussian_w, quartic_orbit, pgrid):
         # the noise-level negative nodes of a transformed field reject beta =
         # 0.5 wherever they are, inside the mask's window or not
         w = offset_gaussian_w
-        mask = orbit_interior_mask(quartic_orbit, pgrid) if mask_name == "region" else np.zeros(pgrid.shape, dtype=bool)
+        mask = None if mask_name == "region" else np.zeros(pgrid.shape, dtype=bool)
         with pytest.raises(RejectionError) as whole:
             power_field(w.values, 0.5)
         with pytest.raises(RejectionError) as windowed:
-            volume_term(w, pure_quartic(), 2, None, mask, 0.5)
+            snapshot(w, quartic_orbit, pure_quartic()).volume(renyi(0.5), mask)
         negative = int(np.count_nonzero((np.abs(w.values) > 1e-30) & (w.values < 0.0)))
         expected = f"W**beta undefined for non-integer beta=0.5: {negative} negative nodes above floor"
         assert str(windowed.value) == str(whole.value) == expected
@@ -336,7 +341,7 @@ class TestVolumeTerm:
         monkeypatch.setattr(
             fluxes, "integrate_volume", recorded("sum", integrate_volume, lambda g, v, mask, window: v.shape)
         )
-        instantaneous_block(offset_gaussian_w, quartic_orbit, pure_quartic(), 2, BETAS, region=region)
+        instantaneous_block(offset_gaussian_w, region, pure_quartic(), 2, BETAS)
         # one div(w); the beta = 2 and 3 weights and the four volume sums on
         # the window (the beta = 0.5 term rejects first), and no call on the grid
         assert [key for key in seen if key[0] == "div_w"] == [("div_w", bounds(region.window))]
@@ -345,10 +350,11 @@ class TestVolumeTerm:
         assert seen[("sum", extent)] == 4
         assert not any(shape == pgrid.shape for _, shape in seen)
 
-    def test_full_grid_diagnostic_is_finite_and_small(self, ground_w):
-        vt = volume_term(ground_w, pure_quartic(), 2, None, None, "one")
-        assert np.isfinite(vt.value)
-        assert vt.masked_in_region >= 0
+    def test_full_grid_diagnostic_is_finite_and_small(self, ground_w, quartic_orbit):
+        whole = np.ones(ground_w.grid.shape, dtype=bool)
+        value, masked = snapshot(ground_w, quartic_orbit, pure_quartic()).volume(SVN, whole)
+        assert np.isfinite(value)
+        assert masked >= 0
 
 
 class TestOracle:
@@ -373,15 +379,16 @@ class TestOracle:
         # loop form of the probability rate against the region derivative
         pot = pure_quartic()
         region = OrbitRegion(quartic_orbit, pgrid)
-        loop = sigma_flux(offset_gaussian_w, quartic_orbit, pot, 2)
+        loop = Snapshot(offset_gaussian_w, region, pot, 2).loop(SIGMA)
         rate = oracle(coherent(1.0, 0.5), pot, region, cgrid)["sigma"]
         assert loop == pytest.approx(rate, rel=2e-5)
 
     def test_svn_balance_against_oracle(self, pgrid, cgrid, quartic_orbit, offset_gaussian_w):
         pot = pure_quartic()
         region = OrbitRegion(quartic_orbit, pgrid)
-        loop = svn_flux(offset_gaussian_w, quartic_orbit, pot, 2)
-        vol = volume_term(offset_gaussian_w, pot, 2, None, region.mask, "one").value
+        snap = Snapshot(offset_gaussian_w, region, pot, 2)
+        loop = snap.loop(SVN)
+        vol, _ = snap.volume(SVN)
         rate = oracle(coherent(1.0, 0.5), pot, region, cgrid)["svn"]
         assert loop + vol == pytest.approx(rate, rel=5e-2)
 
@@ -390,7 +397,7 @@ class TestOracle:
         pot = pure_quartic()
         region = OrbitRegion(quartic_orbit, pgrid)
         prop = propagator(coherent(1.0, 0.5), pot, cgrid)
-        blk = instantaneous_block(offset_gaussian_w, quartic_orbit, pot, 2, (2.0,), region=region)
+        blk = instantaneous_block(offset_gaussian_w, region, pot, 2, (2.0,))
         attach_oracles(blk, prop, region, (2.0,))
         purity = blk["purity"]
         assert purity["oracle_2pi_adjusted"] == purity["oracle"] / (2 * np.pi)
@@ -407,7 +414,7 @@ class TestOracle:
         prop = propagator(cat(1.5, 0.0), pot, cgrid)
         rates = oracle_rates(prop, 0.0, region, betas)
         assert all(abs(rate) <= 1e-12 for rate in rates.values()), rates
-        blk = attach_oracles(instantaneous_block(cat_w, quartic_orbit, pot, 2, betas, region=region), prop, region, betas)
+        blk = attach_oracles(instantaneous_block(cat_w, region, pot, 2, betas), prop, region, betas)
         deviations = [(q.key, key, value) for q in quantities(betas) for key, value in q.entry(blk).items()
                       if key.startswith("rel_dev")]
         assert len(deviations) == 6
@@ -450,7 +457,7 @@ class TestOracle:
 
         rates = oracle_rates(Recording(), 0.5, region, ())
         assert asked == list(oracle_times(0.5, 1e-3))
-        before, after = (Snapshot(wigner_transform(prop.state(t), pgrid), region=region).quantity(SIGMA) for t in asked)
+        before, after = (Snapshot(wigner_transform(prop.state(t), pgrid), region).quantity(SIGMA) for t in asked)
         assert rates["sigma"] == (after - before) / 2e-3
 
 
@@ -459,8 +466,8 @@ class TestPeriodAccumulation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             acc = period_accumulation(
-                propagator(coherent(1.0, 0.0), pure_quartic(), cgrid), quartic_orbit, 2, (2.0,),
-                pgrid=pgrid, n_nodes=64,
+                propagator(coherent(1.0, 0.0), pure_quartic(), cgrid), OrbitRegion(quartic_orbit, pgrid), 2, (2.0,),
+                n_nodes=64,
             )
         # at tau = 0 the state is even in k, so the frozen printed form vanishes
         assert abs(acc["sigma"]["frozen"]) < 1e-10
@@ -494,8 +501,8 @@ class TestPeriodAccumulation:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 period_accumulation(
-                    propagator(coherent(2.0, 0.0), harmonic(), cgrid), harmonic_orbit, 2, (2.0,),
-                    pgrid=pgrid, n_nodes=n_nodes,
+                    propagator(coherent(2.0, 0.0), harmonic(), cgrid), OrbitRegion(harmonic_orbit, pgrid), 2, (2.0,),
+                    n_nodes=n_nodes,
                 )
             built[n_nodes] = dict(counts, operators=spline.slope_operator.cache_info().misses)
         # one plan of two point sets, each located on both axes; one
@@ -507,38 +514,42 @@ class TestSnapshotEvaluation:
     @pytest.mark.parametrize("field", ["offset_gaussian_w", "cat_w"])
     def test_block_equals_standalone_functions(self, field, request, pgrid, quartic_orbit):
         # The block reads every value from one snapshot; each standalone
-        # function builds its own.  Values and rejections must agree exactly.
+        # value here comes from a snapshot of its own.  Values and rejections
+        # must agree exactly.
         w = request.getfixturevalue(field)
-        pot, orbit = pure_quartic(), quartic_orbit
-        region = OrbitRegion(orbit, pgrid)
-        blk = instantaneous_block(w, orbit, pot, 2, BETAS, region=region)
+        pot = pure_quartic()
+        region = OrbitRegion(quartic_orbit, pgrid)
+        blk = instantaneous_block(w, region, pot, 2, BETAS)
 
-        sig = sigma_flux(w, orbit, pot, 2)
+        def fresh():
+            return Snapshot(w, region, pot, 2)
+
+        sig = fresh().loop(SIGMA)
         assert blk["sigma"] == {"loop": sig, "full": sig}
-        for name, flux, weight, full in (
-            ("svn", svn_flux, "one", lambda loop, vt: loop + vt),
-            ("purity", purity_flux, "w", lambda loop, vt: loop - vt),
+        for name, q, full in (
+            ("svn", SVN, lambda loop, vt: loop + vt),
+            ("purity", PURITY, lambda loop, vt: loop - vt),
         ):
-            loop = flux(w, orbit, pot, 2)
-            vt = volume_term(w, pot, 2, None, region.mask, weight)
+            loop = fresh().loop(q)
+            value, masked = fresh().volume(q)
             assert blk[name] == {
-                "loop": loop, "volume_term": vt.value,
-                "masked_nodes": vt.masked_in_region, "full": full(loop, vt.value),
+                "loop": loop, "volume_term": value,
+                "masked_nodes": masked, "full": full(loop, value),
             }
         for beta in BETAS:
             try:
-                loop = renyi_flux(w, orbit, pot, 2, beta)
+                loop = fresh().loop(renyi(beta))
             except RejectionError as exc:
                 assert blk["renyi"][f"{beta:g}"] == {"rejected": str(exc)}
                 continue
             expected = {"loop": loop}
             try:
-                vt = volume_term(w, pot, 2, None, region.mask, beta)
-                expected.update(volume_term=vt.value, masked_nodes=vt.masked_in_region, full=loop - vt.value)
+                value, masked = fresh().volume(renyi(beta))
+                expected.update(volume_term=value, masked_nodes=masked, full=loop - value)
             except RejectionError as exc:
                 expected["volume_term_rejected"] = str(exc)
             try:
-                power = Snapshot(w, region=region).quantity(renyi(beta))
+                power = Snapshot(w, region).quantity(renyi(beta))
                 expected["region_power_integral"] = power
                 if power > 0:
                     expected["rate"] = loop / power
@@ -546,15 +557,15 @@ class TestSnapshotEvaluation:
                 expected["rate_rejected"] = str(exc)
             assert blk["renyi"][f"{beta:g}"] == expected
 
-    def test_fractional_beta_rejections_reach_the_block(self, quartic_orbit, offset_gaussian_w, cat_w):
+    def test_fractional_beta_rejections_reach_the_block(self, pgrid, quartic_orbit, offset_gaussian_w, cat_w):
         # Transformed fields carry noise-level negative nodes, so the beta = 0.5
         # volume term rejects while the loop stands; the cat is negative on the
         # orbit itself, so its beta = 0.5 loop rejects.
-        pot = pure_quartic()
-        entry = instantaneous_block(offset_gaussian_w, quartic_orbit, pot, 2, (0.5,))["renyi"]["0.5"]
+        pot, region = pure_quartic(), OrbitRegion(quartic_orbit, pgrid)
+        entry = instantaneous_block(offset_gaussian_w, region, pot, 2, (0.5,))["renyi"]["0.5"]
         assert "loop" in entry and "rate" in entry
         assert entry["volume_term_rejected"].startswith("W**beta undefined for non-integer beta=0.5")
-        entry = instantaneous_block(cat_w, quartic_orbit, pot, 2, (0.5,))["renyi"]["0.5"]
+        entry = instantaneous_block(cat_w, region, pot, 2, (0.5,))["renyi"]["0.5"]
         assert list(entry) == ["rejected"]
         assert entry["rejected"].endswith("negative orbit samples")
 
@@ -581,7 +592,7 @@ class TestSnapshotEvaluation:
     def test_one_block_is_one_evaluation(self, monkeypatch, pgrid, quartic_orbit, offset_gaussian_w):
         region = OrbitRegion(quartic_orbit, pgrid)
         counts = self._count_work(monkeypatch)
-        instantaneous_block(offset_gaussian_w, quartic_orbit, pure_quartic(), 2, BETAS, region=region)
+        instantaneous_block(offset_gaussian_w, region, pure_quartic(), 2, BETAS)
         assert counts["fits"] <= 2
         assert counts["delta_current"] == 1
         assert counts["div_w"] == 1

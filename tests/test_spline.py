@@ -99,25 +99,31 @@ def test_fewer_than_four_nodes_rejected(n):
         pieces(np.ones(n), H)
 
 
+def orbit_plan(grid, orbit) -> SamplingPlan:
+    return SamplingPlan(grid, orbit=(orbit.x, orbit.k))
+
+
 @pytest.mark.parametrize("field", ["offset_gaussian_w", "cat_w"])
 class TestGridSpline:
     def test_orbit_samples_match_rect_bivariate_spline(self, field, request, quartic_orbit):
         interpolate = pytest.importorskip("scipy.interpolate")
         w = request.getfixturevalue(field)
         reference = interpolate.RectBivariateSpline(w.grid.x, w.grid.k, w.values).ev(quartic_orbit.x, quartic_orbit.k)
-        got = GridSpline(w.grid, w.values).ev(quartic_orbit.x, quartic_orbit.k)
+        got = GridSpline(w.values, orbit_plan(w.grid, quartic_orbit)).at("orbit")
         assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(w.values))
 
     def test_fit_near_the_orbit_equals_the_full_fit(self, field, request, quartic_orbit):
         w = request.getfixturevalue(field)
-        near = (quartic_orbit.x, quartic_orbit.k)
-        assert np.array_equal(GridSpline(w.grid, w.values, near).ev(*near), GridSpline(w.grid, w.values).ev(*near))
+        plan = orbit_plan(w.grid, quartic_orbit)
+        rows, cols = plan.rows, plan.cols
+        near = GridSpline(w.values, plan).cells.reshape(rows.stop - rows.start - 1, cols.stop - cols.start - 1, 16)
+        full = GridSpline(w.values, SamplingPlan(w.grid)).cells.reshape(w.grid.n_x - 1, w.grid.n_k - 1, 16)
+        assert np.array_equal(near, full[rows.start : rows.stop - 1, cols.start : cols.stop - 1])
 
     def test_sample_outside_the_fitted_cells_rejected(self, field, request, quartic_orbit):
         w = request.getfixturevalue(field)
-        spline = GridSpline(w.grid, w.values, (quartic_orbit.x, quartic_orbit.k))
         with pytest.raises(RejectionError, match="outside the fitted cells"):
-            spline.ev(np.array([3.0]), np.array([0.0]))
+            orbit_plan(w.grid, quartic_orbit).locate(np.array([3.0]), np.array([0.0]))
 
 
 @pytest.mark.parametrize(
@@ -131,22 +137,25 @@ def test_any_span_equals_the_full_fit(first, width):
     grid = PhaseSpaceGrid.centered(8.0, 8.0, 256, 256)
     values = np.random.default_rng(width).standard_normal(grid.shape)
     corners = (grid.x[[first, first + width - 2]] + 0.5 * grid.h_x, grid.k[[first, first + width - 2]] + 0.5 * grid.h_k)
-    near = GridSpline(grid, values, corners).cells.reshape(width - 1, width - 1, 16)
-    full = GridSpline(grid, values).cells.reshape(255, 255, 16)
+    near = GridSpline(values, SamplingPlan(grid, corners=corners)).cells.reshape(width - 1, width - 1, 16)
+    full = GridSpline(values, SamplingPlan(grid)).cells.reshape(255, 255, 16)
     assert np.array_equal(near, full[first : first + width - 1, first : first + width - 1])
 
 
 def test_plan_samples_equal_located_samples(gaussian_w, quartic_orbit):
+    # a point set's samples do not depend on the other sets of its plan
     points = (quartic_orbit.x, quartic_orbit.k)
-    plan = SamplingPlan(gaussian_w.grid, orbit=points, shifted=(points[0] * 0.5, points[1]))
-    spline = GridSpline(gaussian_w.grid, gaussian_w.values, plan)
+    shifted = (points[0] * 0.5, points[1])
+    plan = SamplingPlan(gaussian_w.grid, orbit=points, shifted=shifted)
+    spline = GridSpline(gaussian_w.values, plan)
     assert spline.plan is plan
-    assert np.array_equal(spline.at("orbit"), spline.ev(*points))
-    assert np.array_equal(spline.at("shifted"), spline.ev(points[0] * 0.5, points[1]))
-    assert np.array_equal(spline.at("orbit"), GridSpline(gaussian_w.grid, gaussian_w.values, points).ev(*points))
+    alone = {name: GridSpline(gaussian_w.values, SamplingPlan(gaussian_w.grid, **{name: p})).at(name)
+             for name, p in (("orbit", points), ("shifted", shifted))}
+    assert np.array_equal(spline.at("orbit"), alone["orbit"])
+    assert np.array_equal(spline.at("shifted"), alone["shifted"])
 
 
-def test_plan_of_another_grid_rejected(gaussian_w):
+def test_field_of_another_shape_rejected(gaussian_w):
     other = PhaseSpaceGrid.centered(8.0, 8.0, 128, 128)
-    with pytest.raises(RejectionError, match="another grid"):
-        GridSpline(gaussian_w.grid, gaussian_w.values, SamplingPlan(other))
+    with pytest.raises(RejectionError, match="does not match grid"):
+        GridSpline(gaussian_w.values, SamplingPlan(other))
