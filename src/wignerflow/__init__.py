@@ -6,7 +6,7 @@ of probability, purity, von Neumann and Renyi entropies across classical
 periodic orbits.
 """
 
-from .classical import ClassicalOrbit, orbit_frame, period_quadrature, solve_orbit
+from .classical import ClassicalOrbit, period_quadrature, solve_orbit
 from .currents import MaskedField, continuity_residual, delta_current, div_w
 from .errors import ConfigError, RejectionError, WignerFlowError
 from .fluxes import (

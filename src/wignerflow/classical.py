@@ -104,11 +104,6 @@ def _normal_frame(x: np.ndarray, k: np.ndarray, vx: np.ndarray, vk: np.ndarray, 
     return -vk / speed, vx / speed, speed * dtau
 
 
-def orbit_frame(orbit: ClassicalOrbit) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample outward normals (shape (N, 2)) and line elements dl."""
-    return np.stack([orbit.nx, orbit.nk], axis=1), orbit.dl
-
-
 def _turning_points(potential: PotentialModel, x0: float, k0: float, du0: float, energy: float):
     """Turning points x_l < x0 < x_r, the real roots of E - u adjacent to x0, and E - u.
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import fluxes as fx
 from .classical import solve_orbit
 from .currents import DEFAULT_NU_MAX, require_nu_max
-from .errors import ConfigError, RejectionError, WignerFlowError
+from .errors import ConfigError, RejectionError
 from .grid import CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
 from .observables import ENTROPY_FLOOR, require_beta
 from .potentials import CATALOG, PotentialModel

@@ -16,10 +16,11 @@ the classical part -u'(x) of w_k does not depend on k, so
 
     div(w) = d/dk (Delta J_k / W) = (W d_k Delta J_k - Delta J_k d_k W) / W^2:
 
-two k-derivatives and none along x.  div_w evaluates it on a node window,
-the rectangle a volume correction reads, from the fields on that window
-plus the stencil's reach.  continuity_residual alone assembles the full
-J, as the check of the series against the Schrodinger dynamics.
+two k-derivatives and none along x.  div_w evaluates it on a rectangle
+of nodes, the one a volume correction reads: both derivatives run along
+the rectangle's x-rows over the whole k axis, so each node gets its
+whole-grid value.  continuity_residual alone assembles the full J, as the
+check of the series against the Schrodinger dynamics.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from math import factorial
 import numpy as np
 
 from .errors import RejectionError
-from .grid import (
-    MAX_DERIVATIVE_ORDER, Window, node_window, partial_derivative, stencil_weights, widen_window,
-)
+from .grid import MAX_DERIVATIVE_ORDER, partial_derivative
 from .potentials import PotentialModel
 from .states import WignerField
 
@@ -96,28 +95,22 @@ def _mask_epsilon(w: WignerField, epsilon: float | None) -> float:
 
 
 def div_w(
-    w: WignerField, dj_k: np.ndarray, epsilon: float | None = None, window: Window | None = None
+    w: WignerField, dj_k: np.ndarray, epsilon: float | None = None, window: tuple[slice, slice] | None = None
 ) -> MaskedField:
-    """Divergence of the phase velocity, (W d_k Delta J_k - Delta J_k d_k W) / W^2, on a node window.
+    """Divergence of the phase velocity, (W d_k Delta J_k - Delta J_k d_k W) / W^2, on a rectangle of nodes.
 
     dj_k is delta_current's Delta J_k of w on the whole grid.  The quotient
     measures the departure from Liouvillian flow; nodes with |W| below the
     mask threshold (relative to max|W| over the whole grid) are excluded.
-    Only the window's nodes are evaluated (the whole grid by default):
-    Delta J_k and W are read on the window widened by the first-derivative
-    stencil's half-width, clipped at the grid edge, where the zero
-    extension applies as on the whole grid, so each value equals that
-    node's whole-grid value bit for bit.  values and valid have the
-    window's shape.
+    window is the rectangle, an index slice along x and one along k (the
+    whole grid by default).  Both k-derivatives are taken on its x-rows
+    over the whole k axis, so each value equals that node's whole-grid
+    value bit for bit.  values and valid have the window's shape.
     """
     eps = _mask_epsilon(w, epsilon)
-    grid = w.grid
-    if window is None:
-        window = node_window(grid.shape)
-    block = widen_window(window, stencil_weights(1).size // 2, grid.shape)
-    d_dj = partial_derivative(grid, dj_k[block], "k", window=window)
-    d_w = partial_derivative(grid, w.values[block], "k", window=window)
-    dj, wv = dj_k[window], w.values[window]
+    rows, cols = window or (slice(None), slice(None))
+    d_dj, d_w = (partial_derivative(w.grid, f[rows], "k")[:, cols] for f in (dj_k, w.values))
+    dj, wv = dj_k[rows, cols], w.values[rows, cols]
     valid = np.abs(wv) > eps
     out = np.zeros_like(wv)
     np.divide(wv * d_dj - dj * d_w, wv**2, out=out, where=valid)

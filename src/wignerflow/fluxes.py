@@ -38,9 +38,10 @@ fitted on, the axes' slope operators that fit them, and the cell and
 Hermite weights of every orbit sample and quadrature node.  Region
 quantities integrate over the orbit's own boundary by Green's theorem,
 with no lattice and no staircase.  Volume corrections are evaluated on
-the region's node window, the bounding box of the orbit interior's node
-mask (about 1 % of the grid): div(w), the W**p weight, the integrand and
-its quadrature never touch a node outside it.
+the region's window, the bounding box of the orbit interior's nodes
+(about 1 % of the grid): the W**p weight, the integrand and its
+quadrature never touch a node outside it, and div(w) differentiates only
+the window's x-rows.
 
 The oracle, oracle_rates, cross-checks every row at once by central
 finite differences of its region quantity between the states at
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +65,7 @@ import numpy as np
 from .currents import DEFAULT_NU_MAX, MaskedField, delta_current, div_w
 from .errors import RejectionError
 from .classical import ClassicalOrbit
-from .grid import PhaseSpaceGrid, Window, integrate_volume, node_window
+from .grid import PhaseSpaceGrid, integrate_volume
 from .observables import (
     ENTROPY_FLOOR,
     PURITY_FACTOR,
@@ -89,11 +90,12 @@ class Quantity:
     """One row of the flux table (see the module docstring).
 
     loop is (sign, weight): weight maps W at orbit samples inside the
-    domain to the weight of Delta J_k.  volume is (sign, p), with p mapping
-    W on a node window to the factor of div(w), or None for no volume
-    correction.  density(W, floor) is the integrand of the region quantity,
-    which is scaled by factor.  A fractional row is undefined where W is
-    negative above the floor, a singular row where |W| <= epsilon.
+    domain to the weight of Delta J_k.  volume is (sign, p), with p(W,
+    floor) mapping W on the region's window to the factor of div(w), or
+    None for no volume correction.  density(W, floor) is the integrand of
+    the region quantity, which is scaled by factor.  A fractional row is
+    undefined where W is negative above the floor, a singular row where
+    |W| <= epsilon.
     """
 
     name: str
@@ -137,12 +139,12 @@ class Quantity:
 
 SIGMA = Quantity("sigma", loop=(-1.0, lambda w: 1.0), volume=None, density=lambda v, floor: v)
 SVN = Quantity(
-    "svn", loop=(1.0, lambda w: np.log(np.abs(w))), volume=(1.0, lambda v: v), density=entropy_density,
+    "svn", loop=(1.0, lambda w: np.log(np.abs(w))), volume=(1.0, lambda v, floor: v), density=entropy_density,
     singular=True, scale_sensitive=True,
 )
 PURITY = Quantity(
-    "purity", loop=(-1.0, lambda w: w), volume=(-1.0, np.square), density=lambda v, floor: np.square(v),
-    factor=PURITY_FACTOR,
+    "purity", loop=(-1.0, lambda w: w), volume=(-1.0, lambda v, floor: np.square(v)),
+    density=lambda v, floor: np.square(v), factor=PURITY_FACTOR,
 )
 
 
@@ -152,7 +154,7 @@ def renyi(beta: float) -> Quantity:
     return Quantity(
         "renyi",
         loop=(-1.0, lambda w: (abs(w) if fractional else w) ** (beta - 1.0)),
-        volume=(-1.0, lambda v: (beta - 1.0) * power_field(v, beta)),
+        volume=(-1.0, lambda v, floor: (beta - 1.0) * power_field(v, beta, floor)),
         density=lambda v, floor: power_field(v, beta, floor),
         beta=beta, fractional=fractional, singular=beta < 1.0,
     )
@@ -210,22 +212,28 @@ class OrbitRegion:
     Gauss-Legendre rule in x from the orbit's x_min to each of them, so
     every node lies in the orbit's bounding box.  The sign of the signed
     area orients the loop, so a reversed orbit has the same nodes and
-    weights.  Volume corrections integrate over the plain boolean node
-    mask instead, on its node window.
+    weights.  Volume corrections sum over the grid nodes inside the orbit
+    polygon instead: window is their bounding box, a rectangle of nodes
+    (empty when the interior holds none), and inside is the interior's
+    node mask cut to it.  Every volume term reads these two, and no node
+    outside the window.
 
     The region holds everything of a snapshot that depends on the orbit and
-    the grid alone: the orbit, the grid, the interior mask and its window,
-    the quadrature nodes and weights, and plan, the spline.SamplingPlan of
-    the orbit samples ("orbit") and the quadrature nodes ("nodes"), built
-    on first use and shared by every snapshot on the region.
+    the grid alone: the orbit, the grid, window and inside, the quadrature
+    nodes and weights, and plan, the spline.SamplingPlan of the orbit
+    samples ("orbit") and the quadrature nodes ("nodes"), built on first
+    use and shared by every snapshot on the region.
     """
 
     def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> None:
         self.orbit = orbit
         self.grid = grid
-        self.mask = orbit_interior_mask(orbit, grid)
-        #: Bounding box of the mask's nodes, where volume corrections are evaluated.
-        self.window = node_window(grid.shape, self.mask)
+        mask = orbit_interior_mask(orbit, grid)
+        spans = (np.flatnonzero(np.any(mask, axis=axis)) for axis in (1, 0))
+        #: Bounding box of the interior's nodes, where volume corrections are evaluated.
+        self.window = tuple(slice(int(i[0]), int(i[-1]) + 1) if i.size else slice(0, 0) for i in spans)
+        #: The interior's node mask on the window.
+        self.inside = mask[self.window]
 
         n = orbit.x.size
         stride = max(d for d in range(1, max(n // REGION_LOOP_SAMPLES, 1) + 1) if n % d == 0)
@@ -263,9 +271,9 @@ class Snapshot:
     inside the grid.  Fields are lazy: region quantities never sum the
     current series; loop fluxes need the potential and read Delta J_k, the
     only part of the current a snapshot builds; volume terms need the
-    potential and read div(w) = d_k(Delta J_k / W), computed once per node
-    window from Delta J_k and W alone.  A snapshot holds several grid-sized
-    arrays, so keep it no longer than its time node.
+    potential and read div(w) = d_k(Delta J_k / W), computed once on the
+    region's window from Delta J_k and W alone.  A snapshot holds several
+    grid-sized arrays, so keep it no longer than its time node.
     """
 
     w: WignerField
@@ -273,7 +281,6 @@ class Snapshot:
     potential: PotentialModel | None = None
     nu_max: int = DEFAULT_NU_MAX
     epsilon_mask: float | None = None
-    _divs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid, orbit = self.w.grid, self.orbit
@@ -297,12 +304,10 @@ class Snapshot:
         """Delta J_k on the grid, summed from the nu >= 1 series."""
         return delta_current(self.w, self.potential, self.nu_max)
 
-    def div(self, window: Window) -> MaskedField:
-        """div(w) = d_k(Delta J_k / W) on a node window, computed once per window."""
-        key = tuple((s.start, s.stop) for s in window)
-        if key not in self._divs:
-            self._divs[key] = div_w(self.w, self.dj_k, self.epsilon_mask, window)
-        return self._divs[key]
+    @cached_property
+    def div(self) -> MaskedField:
+        """div(w) = d_k(Delta J_k / W) on the region's window."""
+        return div_w(self.w, self.dj_k, self.epsilon_mask, self.region.window)
 
     @cached_property
     def w_spline(self) -> GridSpline:
@@ -353,29 +358,24 @@ class Snapshot:
         sign, weight = q.loop
         return sign * _loop_sum(weight(w_on), self.dj_on, self.orbit)
 
-    def volume(self, q: Quantity, mask: np.ndarray | None = None) -> tuple[float, int]:
-        """Unsigned volume correction int p(W) div(w) dV of one row over a node mask.
+    def volume(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> tuple[float, int]:
+        """Unsigned volume correction int p(W) div(w) dV of one row over the orbit interior.
 
-        mask None is the orbit interior, evaluated on the region's window;
-        any other mask is evaluated on its own node window, the bounding box
-        of its true nodes.  div(w), p(W) and the quadrature never touch a
-        node outside the window.  Nodes where the phase-velocity quotient is
-        masked contribute zero; returns the value and their count within the
-        mask.  A fractional row is rejected when W has negative nodes above
-        the floor anywhere on the grid.
+        Evaluated on the region's window: p(W), the integrand and its
+        quadrature read no node outside it.  Nodes where the phase-velocity
+        quotient is masked contribute zero; returns the value and their
+        count within the interior.  floor is the sign floor and magnitude
+        floor of a fractional power, whose row is rejected when W has
+        negative nodes above it anywhere on the grid.
         """
-        if mask is None:
-            mask, window = self.region.mask, self.region.window
-        else:
-            window = node_window(self.w.grid.shape, mask)
-        dv = self.div(window)
+        window, inside, dv = self.region.window, self.region.inside, self.div
         if q.fractional:
             # whether W**beta is defined is decided on the whole grid
-            require_power_domain(self.w.values, q.beta)
+            require_power_domain(self.w.values, q.beta, floor)
         _, p = q.volume
-        integrand = p(self.w.values[window]) * dv.values
-        keep = dv.valid & mask[window]
-        masked = int(np.count_nonzero(mask)) - int(np.count_nonzero(keep))
+        integrand = p(self.w.values[window], floor) * dv.values
+        keep = dv.valid & inside
+        masked = int(np.count_nonzero(inside)) - int(np.count_nonzero(keep))
         return integrate_volume(self.w.grid, integrand, mask=keep, window=window), masked
 
     def quantity(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> float:
@@ -402,7 +402,7 @@ class Snapshot:
             entry["full"] = flux
         else:
             try:
-                value, masked = self.volume(q)
+                value, masked = self.volume(q, epsilon)
                 sign, _ = q.volume
                 entry.update(volume_term=value, masked_nodes=masked, full=flux + sign * value)
             except RejectionError as exc:

@@ -5,6 +5,9 @@ and central finite-difference derivative kernels of accuracy order 4,
 applied as a weighted sum of shifted slices of the field.  Fields are
 treated as identically zero outside the grid, which is the correct
 extension for the Gaussian-enveloped states this package works with.
+A derivative can be taken on a band of lines that spans the differentiated
+axis, and a quadrature summed over a rectangle of nodes; the nodes they
+cover get the whole grid's values.
 """
 
 from __future__ import annotations
@@ -143,52 +146,10 @@ def _quadrature_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-#: A rectangle of grid nodes: one index slice along x and one along k, each
-#: with explicit, non-negative start and stop.
-Window = tuple[slice, slice]
-
-
-def node_window(shape: tuple[int, int], mask: np.ndarray | None = None) -> Window:
-    """Bounding box of a node mask's true nodes; the whole grid for None.
-
-    An all-false mask gives an empty window.
-    """
-    if mask is None:
-        return (slice(0, shape[0]), slice(0, shape[1]))
-    rows = np.flatnonzero(np.any(mask, axis=1))
-    cols = np.flatnonzero(np.any(mask, axis=0))
-    if rows.size == 0:
-        return (slice(0, 0), slice(0, 0))
-    return (slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1))
-
-
-def widen_window(window: Window, margin: int, shape: tuple[int, int]) -> Window:
-    """The window grown by margin nodes on every side, clipped at the grid edge."""
-    return tuple(slice(max(s.start - margin, 0), min(s.stop + margin, n)) for s, n in zip(window, shape))
-
-
-def _window_block(grid: PhaseSpaceGrid, values, window: Window | None, margin: int) -> tuple[np.ndarray, Window, Window]:
-    """The one window convention of the stencil and the quadrature.
-
-    values holds the field on the window widened by margin nodes per side
-    (clipped at the grid edge); None stands for the whole grid.  Returns
-    the values, the window, and the window's nodes as slices of values.
-    """
-    values = np.asarray(values)
-    whole, window = window is None, window or node_window(grid.shape)
-    block = widen_window(window, margin, grid.shape)
-    extent = tuple(s.stop - s.start for s in block)
-    if values.shape != extent:
-        where = f"grid {grid.shape}" if whole else f"the window {window} widened by {margin} ({extent})"
-        raise RejectionError(f"field shape {values.shape} does not match {where}")
-    inner = tuple(slice(s.start - b.start, s.stop - b.start) for s, b in zip(window, block))
-    return values, window, inner
-
-
 def integrate_volume(
-    grid: PhaseSpaceGrid, values: np.ndarray, mask: np.ndarray | None = None, window: Window | None = None
+    grid: PhaseSpaceGrid, values: np.ndarray, mask: np.ndarray | None = None, window: tuple[slice, slice] | None = None
 ) -> float:
-    """2-D trapezoidal quadrature of a scalar field over the grid or a node window of it.
+    """2-D trapezoidal quadrature of a scalar field over the grid or a rectangle of its nodes.
 
     Parameters
     ----------
@@ -197,24 +158,29 @@ def integrate_volume(
         Field samples on the window (the whole grid by default); must be
         finite at every node.
     mask : ndarray of bool, optional
-        Node selector of the same shape; nodes outside the mask contribute zero.
-    window : Window, optional
-        The rectangle of nodes that values covers (see node_window); nodes
-        outside it contribute zero.
+        Node selector of values' shape; nodes outside the mask contribute zero.
+    window : (slice, slice), optional
+        The rectangle of nodes that values covers: one index slice along x
+        and one along k, each with explicit start and stop.  Nodes outside
+        it contribute zero.
 
     Returns
     -------
     float
     """
-    values, window, _ = _window_block(grid, values, window, 0)
+    values = np.asarray(values)
+    rows, cols = window or (slice(0, grid.n_x), slice(0, grid.n_k))
+    wx = _quadrature_weights(grid.n_x, grid.h_x)[rows]
+    wk = _quadrature_weights(grid.n_k, grid.h_k)[cols]
+    if values.shape != (wx.size, wk.size):
+        where = f"grid {grid.shape}" if window is None else f"the window {window}"
+        raise RejectionError(f"field shape {values.shape} does not match {where}")
     if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))[0] + [window[0].start, window[1].start]
+        bad = np.argwhere(~np.isfinite(values))[0] + [rows.start, cols.start]
         raise RejectionError(
             f"non-finite field value at node (i_x={bad[0]}, i_k={bad[1]}), "
             f"(x={grid.x[bad[0]]:.6g}, k={grid.k[bad[1]]:.6g})"
         )
-    wx = _quadrature_weights(grid.n_x, grid.h_x)[window[0]]
-    wk = _quadrature_weights(grid.n_k, grid.h_k)[window[1]]
     integrand = values * wx[:, None] * wk[None, :]
     if mask is not None:
         integrand = np.where(mask, integrand, 0.0)
@@ -267,27 +233,24 @@ def stencil_weights(order: int, accuracy: int = STENCIL_ACCURACY) -> np.ndarray:
     return w
 
 
-def partial_derivative(
-    grid: PhaseSpaceGrid, values: np.ndarray, axis: str, order: int = 1, window: Window | None = None
-) -> np.ndarray:
+def partial_derivative(grid: PhaseSpaceGrid, values: np.ndarray, axis: str, order: int = 1) -> np.ndarray:
     """Central finite difference of a scalar field along one phase-space axis.
 
     Interior accuracy is order 4; the field is taken to be identically zero
-    beyond the grid boundary, so rows near the edge apply the same stencil to
-    the zero extension.
+    beyond the grid boundary, so nodes near the edge apply the same stencil
+    to the zero extension.
 
     Parameters
     ----------
+    values : ndarray
+        The field on every node of the differentiated axis and on any band
+        of lines along the other: a band of x-rows for axis "k", of
+        k-columns for axis "x".  Each line is differentiated on its own, so
+        a band's result equals the same lines of the whole-grid derivative
+        bit for bit.
     axis : {"x", "k"}
     order : int
         Derivative order, 1 .. MAX_DERIVATIVE_ORDER.
-    window : Window, optional
-        Differentiate on this rectangle of nodes only.  values then holds
-        the field on the window widened by the stencil's half-width
-        (stencil_weights(order).size // 2) on every side, clipped at the
-        grid edge, and the result covers the window's nodes, equal bit for
-        bit to the same nodes of the whole-grid derivative.  Default: the
-        whole grid.
     """
     if axis not in ("x", "k"):
         raise RejectionError(f"axis must be 'x' or 'k', got {axis!r}")
@@ -295,32 +258,29 @@ def partial_derivative(
         raise RejectionError(
             f"derivative order {order} beyond supported maximum {MAX_DERIVATIVE_ORDER}"
         )
+    values = np.asarray(values, dtype=float)
+    ax = 0 if axis == "x" else 1
+    n = grid.shape[ax]
+    if values.ndim != 2 or values.shape[ax] != n:
+        raise RejectionError(f"field shape {values.shape} does not span the grid's {n} nodes along {axis}")
+    h = grid.h_x if axis == "x" else grid.h_k
+    # The stencil (at most 9 nodes, and PhaseSpaceGrid has at least 16 per
+    # axis) is symmetric for even orders and antisymmetric for odd ones, so
+    # each pair of nodes j either side is combined before its one multiply:
+    # out[i] = w_0 f[i] + sum_j w_-j (f[i-j] +/- f[i+j]), summed from the
+    # outermost pair in, on a copy padded with half zeros per side.
     w = stencil_weights(order)
     half = w.size // 2
-    values, _, inner = _window_block(grid, np.asarray(values, dtype=float), window, half)
-    ax = 0 if axis == "x" else 1
-    h = grid.h_x if axis == "x" else grid.h_k
-    if grid.shape[ax] < w.size:
-        raise RejectionError(
-            f"grid has {grid.shape[ax]} nodes along {axis}, stencil needs {w.size}"
-        )
-    # The stencil is symmetric for even orders and antisymmetric for odd
-    # ones, so each pair of nodes j either side is combined before its one
-    # multiply: out[i] = w_0 f[i] + sum_j w_-j (f[i-j] +/- f[i+j]), summed
-    # from the outermost pair in.  values is padded with half zeros along
-    # the axis: beyond a clipped side that is the zero extension, and an
-    # unclipped side carries half real nodes, so the window never reads the
-    # padding there.
+
     def along(offset: int) -> tuple[slice, ...]:
-        s = inner[ax]
-        return tuple(slice(s.start + half + offset, s.stop + half + offset) if a == ax else inner[a] for a in range(2))
+        return tuple(slice(half + offset, half + offset + n) if a == ax else slice(None) for a in range(2))
 
     shape = list(values.shape)
     shape[ax] += 2 * half
     padded = np.zeros(shape)
-    padded[tuple(slice(half, half + values.shape[ax]) if a == ax else slice(None) for a in range(2))] = values
+    padded[along(0)] = values
     pair = np.add if order % 2 == 0 else np.subtract
-    out = values[inner] * w[half]
+    out = values * w[half]
     term = np.empty_like(out)
     for j in range(half, 0, -1):
         pair(padded[along(-j)], padded[along(j)], out=term)

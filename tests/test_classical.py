@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wignerflow import classical
-from wignerflow.classical import ClassicalOrbit, orbit_frame, period_quadrature, solve_orbit
+from wignerflow.classical import ClassicalOrbit, period_quadrature, solve_orbit
 from wignerflow.errors import RejectionError
 from wignerflow.potentials import PotentialModel, double_well, harmonic, pure_quartic, quartic_perturbed
 
@@ -53,8 +53,7 @@ class TestHarmonicOrbit:
         assert np.max(np.abs(h - harmonic_orbit.energy)) < 1e-12
 
     def test_circumference(self, harmonic_orbit):
-        _, dl = orbit_frame(harmonic_orbit)
-        assert np.sum(dl) == pytest.approx(4 * np.pi, abs=1e-4)
+        assert np.sum(harmonic_orbit.dl) == pytest.approx(4 * np.pi, abs=1e-4)
 
     def test_normal_at_rightmost_point(self, harmonic_orbit):
         # at (2, 0) the flow is v = (0, -2); the frame normal is (1, 0),

@@ -261,6 +261,20 @@ def test_every_div_w_reads_the_configured_epsilon_mask(tmp_path, monkeypatch):
     assert seen == [1e-3] * len(seen)
 
 
+def test_volume_term_reads_the_configured_epsilon_entropy(tmp_path):
+    # at tau = 0 the transform's negative nodes are rounding noise, above
+    # the default floor of 1e-30 and below 1e-12; the beta = 0.5 volume term
+    # reads the configured floor, as the row's loop and region integral do
+    entries = {}
+    for floor in (None, 1e-12):
+        raw = {**SMALL, "output_times": [0.0]} | ({} if floor is None else {"epsilon_entropy": floor})
+        out = cli.run(parse_config(raw), tmp_path / str(floor))
+        entries[floor] = json.loads((out / "report.json").read_text(encoding="utf-8"))["times"][0]["renyi"]["0.5"]
+    assert "negative nodes above floor" in entries[None]["volume_term_rejected"]
+    assert "volume_term_rejected" not in entries[1e-12]
+    assert {"loop", "volume_term", "full", "region_power_integral"} <= entries[1e-12].keys()
+
+
 def test_report_records_the_propagator_health(tmp_path):
     config = parse_config(SMALL)
     report = json.loads((cli.run(config, tmp_path / "out") / "report.json").read_text(encoding="utf-8"))

@@ -8,8 +8,8 @@ import pytest
 from wignerflow import currents
 from wignerflow.currents import continuity_residual, delta_current, div_w
 from wignerflow.errors import RejectionError
-from wignerflow.fluxes import orbit_interior_mask
-from wignerflow.grid import integrate_volume, node_window, partial_derivative
+from wignerflow.fluxes import OrbitRegion
+from wignerflow.grid import integrate_volume, partial_derivative
 from wignerflow.potentials import PotentialModel, double_well, harmonic, pure_quartic
 from wignerflow.states import (
     WignerField,
@@ -89,9 +89,9 @@ class TestCurrentK:
     def test_terms_with_a_zero_potential_derivative_take_no_k_derivative(self, monkeypatch, cat_w):
         orders = []
 
-        def recording(grid, values, axis, order=1, window=None):
+        def recording(grid, values, axis, order=1):
             orders.append(order)
-            return partial_derivative(grid, values, axis, order, window)
+            return partial_derivative(grid, values, axis, order)
 
         monkeypatch.setattr(currents, "partial_derivative", recording)
         delta_current(cat_w, pure_quartic(), 2)
@@ -201,7 +201,7 @@ class TestWindowedDivW:
     def test_region_window_equals_the_whole_grid(self, field, request, quartic_orbit):
         w = request.getfixturevalue(field)
         dj = delta_current(w, pure_quartic(), 2)
-        window = node_window(w.grid.shape, orbit_interior_mask(quartic_orbit, w.grid))
+        window = OrbitRegion(quartic_orbit, w.grid).window
         whole, part = div_w(w, dj), div_w(w, dj, window=window)
         assert part.values.shape == (window[0].stop - window[0].start, window[1].stop - window[1].start)
         assert part.valid.any()
@@ -221,24 +221,21 @@ class TestWindowedDivW:
         assert part.valid.all()
         assert np.array_equal(part.values, whole.values[window])
 
-    def test_reads_the_window_plus_the_stencil_reach(self, monkeypatch, cat_w, quartic_orbit):
+    def test_reads_the_window_rows_over_the_k_axis(self, monkeypatch, cat_w, quartic_orbit):
         received = []
 
-        def recording(grid, values, axis, order=1, window=None):
-            received.append((np.shape(values), axis, window))
-            return partial_derivative(grid, values, axis, order, window)
+        def recording(grid, values, axis, order=1):
+            received.append((np.shape(values), axis, order))
+            return partial_derivative(grid, values, axis, order)
 
         dj = delta_current(cat_w, pure_quartic(), 2)
-        window = node_window(cat_w.grid.shape, orbit_interior_mask(quartic_orbit, cat_w.grid))
+        window = OrbitRegion(quartic_orbit, cat_w.grid).window
         monkeypatch.setattr(currents, "partial_derivative", recording)
         div_w(cat_w, dj, window=window)
-        extent = (window[0].stop - window[0].start, window[1].stop - window[1].start)
-        # d_k Delta J_k and d_k W, and no derivative along x
-        assert len(received) == 2
-        for shape, axis, win in received:
-            assert axis == "k"
-            assert win == window
-            assert shape[0] <= extent[0] + 4 and shape[1] <= extent[1] + 4
+        rows = window[0].stop - window[0].start
+        assert 0 < rows < cat_w.grid.n_x // 4
+        # d_k Delta J_k and d_k W on the window's x-rows, and no derivative along x
+        assert received == [((rows, cat_w.grid.n_k), "k", 1)] * 2
 
 
 class TestContinuityResidual:

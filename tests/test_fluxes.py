@@ -83,6 +83,24 @@ def oracle(spec, pot, region, cgrid, betas=(), dtau_fd=1e-3, tau=0.0):
     return oracle_rates(propagator(spec, pot, cgrid), tau, region, betas, dtau_fd)
 
 
+def nodeless_orbit():
+    """The harmonic circle of radius 0.01, inside the origin's cell of a 256-node axis (nodes at +-h/2)."""
+    return solve_orbit(harmonic(), (0.01, 0.0))
+
+
+def node_region(orbit, grid, mask):
+    """The orbit's region with its volume terms moved to mask's nodes: its window is their bounding box.
+
+    A node mask can reach the grid's edges, where the interior of an orbit
+    the grid holds cannot.
+    """
+    region = OrbitRegion(orbit, grid)
+    rows, cols = (np.flatnonzero(np.any(mask, axis=axis)) for axis in (1, 0))
+    region.window = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    region.inside = mask[region.window]
+    return region
+
+
 def edge_masks(grid):
     """Node masks reaching the low edges, the high edges, one edge, and all four."""
     masks = {name: np.zeros(grid.shape, dtype=bool) for name in ("low", "high", "strip", "all")}
@@ -126,6 +144,33 @@ class TestInteriorMask:
         mask = orbit_interior_mask(harmonic_orbit, pgrid)
         area = integrate_volume(pgrid, mask.astype(float))
         assert area == pytest.approx(4 * np.pi, rel=2e-2)
+
+
+class TestRegionWindow:
+    def test_bounding_box_of_the_true_nodes(self, pgrid, harmonic_orbit, quartic_orbit):
+        for orbit in (harmonic_orbit, quartic_orbit):
+            mask = orbit_interior_mask(orbit, pgrid)
+            region = OrbitRegion(orbit, pgrid)
+            (rows, cols), inside = region.window, region.inside
+            assert np.array_equal(inside, mask[region.window])
+            assert np.count_nonzero(inside) == np.count_nonzero(mask) > 0
+            # every edge of the box holds a true node
+            assert inside[0].any() and inside[-1].any() and inside[:, 0].any() and inside[:, -1].any()
+            assert 0 < rows.start < rows.stop < pgrid.n_x and 0 < cols.start < cols.stop < pgrid.n_k
+
+    def test_empty_for_no_nodes(self, pgrid):
+        orbit = nodeless_orbit()
+        assert not orbit_interior_mask(orbit, pgrid).any()
+        region = OrbitRegion(orbit, pgrid)
+        assert region.window == (slice(0, 0), slice(0, 0))
+        assert region.inside.shape == (0, 0)
+
+    def test_nodes_on_the_edges_span_the_grid(self, harmonic_orbit):
+        # the circle of radius 2 encloses every node of the grid [-1, 1]^2
+        grid = PhaseSpaceGrid.centered(1.0, 1.0, 16, 16)
+        region = OrbitRegion(harmonic_orbit, grid)
+        assert region.window == (slice(0, 16), slice(0, 16))
+        assert region.inside.all()
 
 
 #: Enclosed area of the E = 1/4 quartic orbit: 2 int sqrt(2(E - x^4/4)) dx
@@ -291,34 +336,36 @@ class TestVolumeTerm:
     def test_edge_masks_match_the_whole_grid(self, mask_name, weight, wide_w, pgrid, quartic_orbit):
         w, mask = wide_w, edge_masks(pgrid)[mask_name]
         ref, ref_masked, scale = whole_grid_volume(w, pure_quartic(), mask, weight)
-        value, masked = snapshot(w, quartic_orbit, pure_quartic()).volume(row(weight), mask)
+        snap = Snapshot(w, node_region(quartic_orbit, pgrid, mask), pure_quartic(), 2)
+        value, masked = snap.volume(row(weight))
         assert abs(ref) > 0.0
         assert abs(value - ref) <= 1e-14 * scale
         assert masked == ref_masked
 
     @pytest.mark.parametrize("weight", ["one", "w", 3.0])
-    def test_no_mask_is_the_whole_grid(self, weight, offset_gaussian_w, quartic_orbit):
+    def test_no_mask_is_the_whole_grid(self, weight, offset_gaussian_w, quartic_orbit, pgrid):
         ref, ref_masked, _ = whole_grid_volume(offset_gaussian_w, pure_quartic(), None, weight)
-        whole = np.ones(offset_gaussian_w.grid.shape, dtype=bool)
-        snap = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic())
-        assert snap.volume(row(weight), whole) == (ref, ref_masked)
+        whole = np.ones(pgrid.shape, dtype=bool)
+        snap = Snapshot(offset_gaussian_w, node_region(quartic_orbit, pgrid, whole), pure_quartic(), 2)
+        assert snap.volume(row(weight)) == (ref, ref_masked)
 
-    def test_empty_mask_gives_zero(self, offset_gaussian_w, pgrid, quartic_orbit):
-        empty = np.zeros(pgrid.shape, dtype=bool)
-        snap = snapshot(offset_gaussian_w, quartic_orbit, pure_quartic())
+    def test_empty_mask_gives_zero(self, offset_gaussian_w, pgrid):
+        snap = snapshot(offset_gaussian_w, nodeless_orbit(), harmonic())
+        assert snap.region.window == (slice(0, 0), slice(0, 0))
         for weight in ("one", "w", 3.0):
-            assert snap.volume(row(weight), empty) == (0.0, 0)
+            assert snap.volume(row(weight)) == (0.0, 0)
 
     @pytest.mark.parametrize("mask_name", ["region", "empty"])
     def test_fractional_beta_rejection_counts_the_whole_grid(self, mask_name, offset_gaussian_w, quartic_orbit, pgrid):
         # the noise-level negative nodes of a transformed field reject beta =
-        # 0.5 wherever they are, inside the mask's window or not
+        # 0.5 wherever they are, inside the region's window or not, also
+        # when the interior holds no node
         w = offset_gaussian_w
-        mask = None if mask_name == "region" else np.zeros(pgrid.shape, dtype=bool)
+        orbit, pot = (quartic_orbit, pure_quartic()) if mask_name == "region" else (nodeless_orbit(), harmonic())
         with pytest.raises(RejectionError) as whole:
             power_field(w.values, 0.5)
         with pytest.raises(RejectionError) as windowed:
-            snapshot(w, quartic_orbit, pure_quartic()).volume(renyi(0.5), mask)
+            snapshot(w, orbit, pot).volume(renyi(0.5))
         negative = int(np.count_nonzero((np.abs(w.values) > 1e-30) & (w.values < 0.0)))
         expected = f"W**beta undefined for non-integer beta=0.5: {negative} negative nodes above floor"
         assert str(windowed.value) == str(whole.value) == expected
@@ -350,9 +397,8 @@ class TestVolumeTerm:
         assert seen[("sum", extent)] == 4
         assert not any(shape == pgrid.shape for _, shape in seen)
 
-    def test_full_grid_diagnostic_is_finite_and_small(self, ground_w, quartic_orbit):
-        whole = np.ones(ground_w.grid.shape, dtype=bool)
-        value, masked = snapshot(ground_w, quartic_orbit, pure_quartic()).volume(SVN, whole)
+    def test_full_grid_diagnostic_is_finite_and_small(self, ground_w):
+        value, masked, _ = whole_grid_volume(ground_w, pure_quartic(), None, "one")
         assert np.isfinite(value)
         assert masked >= 0
 

@@ -10,10 +10,8 @@ from wignerflow.grid import (
     DimensionlessMap,
     PhaseSpaceGrid,
     integrate_volume,
-    node_window,
     partial_derivative,
     stencil_weights,
-    widen_window,
 )
 
 INTERIOR = np.s_[5:-5, 5:-5]
@@ -164,25 +162,6 @@ class TestStencils:
             partial_derivative(pgrid, np.ones(pgrid.shape), "q", 1)
 
 
-class TestNodeWindow:
-    def test_bounding_box_of_the_true_nodes(self):
-        mask = np.zeros((20, 30), dtype=bool)
-        mask[3, 7] = mask[9, 4] = mask[5, 12] = True
-        assert node_window(mask.shape, mask) == (slice(3, 10), slice(4, 13))
-
-    def test_whole_grid_for_none_and_empty_for_no_nodes(self):
-        assert node_window((20, 30)) == (slice(0, 20), slice(0, 30))
-        assert node_window((20, 30), np.zeros((20, 30), dtype=bool)) == (slice(0, 0), slice(0, 0))
-
-    def test_nodes_on_the_edges_span_the_grid(self):
-        mask = np.zeros((20, 30), dtype=bool)
-        mask[0, 5] = mask[19, 6] = mask[7, 0] = mask[8, 29] = True
-        assert node_window(mask.shape, mask) == (slice(0, 20), slice(0, 30))
-
-    def test_widening_clips_at_the_grid_edge(self):
-        assert widen_window((slice(1, 5), slice(26, 28)), 2, (20, 30)) == (slice(0, 7), slice(24, 30))
-
-
 #: Node windows of the 256 x 256 test grid: interior, on each edge, one node
 #: in from an edge, a single node and an empty one.
 WINDOWS = {
@@ -196,21 +175,29 @@ WINDOWS = {
 
 
 class TestWindowedStencil:
+    """A window's derivative, taken on the band of lines that holds it and spans the axis.
+
+    The band is the window's x-rows for a k-derivative and its k-columns
+    for an x-derivative: at both x edges, one row in, one row and none.
+    """
+
     @pytest.mark.parametrize("window", list(WINDOWS))
     @pytest.mark.parametrize("axis", ["x", "k"])
     @pytest.mark.parametrize("order", range(1, MAX_DERIVATIVE_ORDER + 1))
     def test_equals_the_whole_grid_derivative_bit_for_bit(self, order, axis, window, pgrid):
-        window = WINDOWS[window]
+        band = WINDOWS[window][1 if axis == "x" else 0]
+        lines = (slice(None), band) if axis == "x" else (band, slice(None))
         f = np.random.default_rng(order).normal(size=pgrid.shape)
-        block = widen_window(window, stencil_weights(order).size // 2, pgrid.shape)
-        got = partial_derivative(pgrid, f[block], axis, order, window=window)
-        assert np.array_equal(got, partial_derivative(pgrid, f, axis, order)[window])
+        got = partial_derivative(pgrid, f[lines], axis, order)
+        assert np.array_equal(got, partial_derivative(pgrid, f, axis, order)[lines])
 
-    def test_block_narrower_than_the_stencil_reach_rejected(self, pgrid):
-        window = WINDOWS["interior"]
-        block = widen_window(window, 1, pgrid.shape)
-        with pytest.raises(RejectionError, match="does not match the window"):
-            partial_derivative(pgrid, np.ones(pgrid.shape)[block], "x", 1, window=window)
+    def test_band_not_spanning_the_axis_rejected(self, pgrid):
+        with pytest.raises(RejectionError, match="does not span the grid's 256 nodes along k"):
+            partial_derivative(pgrid, np.ones((10, 255)), "k", 1)
+        with pytest.raises(RejectionError, match="does not span the grid's 256 nodes along x"):
+            partial_derivative(pgrid, np.ones((255, 10)), "x", 1)
+        with pytest.raises(RejectionError, match="does not span"):
+            partial_derivative(pgrid, np.ones(256), "k", 1)
 
 
 class TestGridTypes:
