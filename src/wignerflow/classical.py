@@ -12,8 +12,7 @@ line-element weights dl = |v| dtau that the loop fluxes integrate against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from math import sqrt
 
 import numpy as np
@@ -56,30 +55,17 @@ class ClassicalOrbit:
     energy: float
     potential_label: str
     single_well_asymmetric: bool = False
+    nx: np.ndarray = field(init=False, repr=False)
+    nk: np.ndarray = field(init=False, repr=False)
+    dl: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Derive the frame now, so that a degenerate speed rejects the orbit here.
-        _ = self._frame
+        self.nx, self.nk, self.dl = _normal_frame(self.x, self.k, self.vx, self.vk, self.dtau)
 
     @property
     def dtau(self) -> float:
         return self.period / self.tau.size
-
-    @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _normal_frame(self.x, self.k, self.vx, self.vk, self.dtau)
-
-    @property
-    def nx(self) -> np.ndarray:
-        return self._frame[0]
-
-    @property
-    def nk(self) -> np.ndarray:
-        return self._frame[1]
-
-    @property
-    def dl(self) -> np.ndarray:
-        return self._frame[2]
 
     def reversed(self) -> "ClassicalOrbit":
         """The same curve traversed in the opposite direction."""

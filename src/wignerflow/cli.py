@@ -315,36 +315,23 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+#: fluxes.csv's columns of each row kind, by Quantity.name: column name -> block entry key.
+_FLUX_COLUMNS = {
+    "sigma": {"flux": "loop", "oracle": "oracle", "rel_dev": "rel_dev"},
+    "svn": {"flux": "loop", "volume_term": "volume_term", "full": "full", "oracle": "oracle", "rel_dev": "rel_dev"},
+    "purity": {"flux": "loop", "volume_term": "volume_term", "full": "full", "oracle_dP": "oracle",
+               "oracle_2pi_adjusted": "oracle_2pi_adjusted", "rel_dev": "rel_dev"},
+    "renyi": {"flux": "loop", "volume_term": "volume_term", "full": "full", "rate": "rate", "oracle": "oracle",
+              "rel_dev": "rel_dev"},
+}
+
+
 def _flux_csv_rows(times_blocks: list, betas) -> tuple[list[str], list[list[str]]]:
-    header = [
-        "tau",
-        "sigma_flux", "sigma_oracle", "sigma_rel_dev",
-        "svn_flux", "svn_volume_term", "svn_full", "svn_oracle", "svn_rel_dev",
-        "purity_flux", "purity_volume_term", "purity_full",
-        "purity_oracle_dP", "purity_oracle_2pi_adjusted", "purity_rel_dev",
-    ]
-    renyi_rows = [fx.renyi(b) for b in betas]
-    for q in renyi_rows:
-        header += [
-            f"renyi_flux_{q.tag}", f"renyi_volume_term_{q.tag}", f"renyi_full_{q.tag}",
-            f"renyi_rate_{q.tag}", f"renyi_oracle_{q.tag}", f"renyi_rel_dev_{q.tag}",
-        ]
-    rows = []
-    for blk in times_blocks:
-        row = [_fmt(blk["tau"])]
-        s = blk["sigma"]
-        row += [_fmt(s["loop"]), _fmt(s.get("oracle")), _fmt(s.get("rel_dev"))]
-        v = blk["svn"]
-        row += [_fmt(v["loop"]), _fmt(v["volume_term"]), _fmt(v["full"]),
-                _fmt(v.get("oracle")), _fmt(v.get("rel_dev"))]
-        p = blk["purity"]
-        row += [_fmt(p["loop"]), _fmt(p["volume_term"]), _fmt(p["full"]),
-                _fmt(p.get("oracle")), _fmt(p.get("oracle_2pi_adjusted")), _fmt(p.get("rel_dev"))]
-        for q in renyi_rows:
-            e = q.entry(blk)
-            row += [_fmt(e.get("loop")), _fmt(e.get("volume_term")), _fmt(e.get("full")),
-                    _fmt(e.get("rate")), _fmt(e.get("oracle")), _fmt(e.get("rel_dev"))]
-        rows.append(row)
+    """fluxes.csv's header and rows: tau, then each row's columns; a Renyi column ends in its tag."""
+    columns = [(q, f"{q.name}_{name}" + ("" if q.beta is None else f"_{q.tag}"), key)
+               for q in fx.quantities(betas) for name, key in _FLUX_COLUMNS[q.name].items()]
+    header = ["tau", *(title for _, title, _ in columns)]
+    rows = [[_fmt(blk["tau"]), *(_fmt(q.entry(blk).get(key)) for q, _, key in columns)] for blk in times_blocks]
     return header, rows
 
 

@@ -43,9 +43,12 @@ the region's window, the bounding box of the orbit interior's nodes
 quadrature never touch a node outside it, and div(w) differentiates only
 the window's x-rows.
 
-The oracle, oracle_rates, cross-checks every row at once by central
-finite differences of its region quantity between the states at
-tau -/+ dtau_fd.  It takes them from the run's one EigenPropagator, the
+Snapshot.quantities is the one read of every row's region quantity: a
+value, or the row's RejectionError where the quantity is undefined.  The
+oracle, oracle_rates, cross-checks every row at once by central finite
+differences of two such reads, of the states at tau -/+ dtau_fd, and
+period_accumulation's direct_change differences two, at its end nodes.
+The oracle takes its states from the run's one EigenPropagator, the
 expansion that also gives the state at tau whose loop fluxes are checked,
 so both sides see the same trajectory and the difference measures the
 flux formulas.  The oracle never touches the current series or its
@@ -258,10 +261,6 @@ class OrbitRegion:
         return float(np.dot(values, self.weights))
 
 
-def _loop_sum(weights, delta_jk: np.ndarray, orbit: ClassicalOrbit) -> float:
-    return float(np.sum(weights * delta_jk * orbit.vx) * orbit.dtau)
-
-
 @dataclass(eq=False)
 class Snapshot:
     """One Wigner snapshot on an orbit region and its derived fields, each computed at most once.
@@ -356,7 +355,7 @@ class Snapshot:
                 f"(x={self.orbit.x[i]:.6g}, k={self.orbit.k[i]:.6g})"
             )
         sign, weight = q.loop
-        return sign * _loop_sum(weight(w_on), self.dj_on, self.orbit)
+        return sign * float(np.sum(weight(w_on) * self.dj_on * self.orbit.vx) * self.orbit.dtau)
 
     def volume(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> tuple[float, int]:
         """Unsigned volume correction int p(W) div(w) dV of one row over the orbit interior.
@@ -381,6 +380,18 @@ class Snapshot:
     def quantity(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> float:
         """Region quantity of one row: factor * int density(W) over the orbit interior."""
         return q.factor * self.region.integral(q.density(self.region_w, floor))
+
+    def quantities(self, rows, floor: float = ENTROPY_FLOOR) -> dict:
+        """Region quantity of every row, keyed by Quantity.key; a row's RejectionError where it is undefined."""
+        out = {}
+        for q in rows:
+            try:
+                out[q.key] = self.quantity(q, floor)
+            except RejectionError as exc:
+                # kept without its traceback: the traceback's frames reach this
+                # dict and the snapshot, a cycle only the garbage collector frees
+                out[q.key] = exc.with_traceback(None)
+        return out
 
     def block_entry(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> dict:
         """One row's block entry: loop flux, volume term, balance form.
@@ -436,6 +447,15 @@ def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
     return (tau - dtau_fd, tau + dtau_fd)
 
 
+def _change(start: dict, end: dict, span: float = 1.0) -> dict:
+    """(end - start) / span of every row of two Snapshot.quantities reads, or its first rejection."""
+    out = {}
+    for key, before in start.items():
+        rejected = [r for r in (before, end[key]) if isinstance(r, RejectionError)]
+        out[key] = rejected[0] if rejected else (end[key] - before) / span
+    return out
+
+
 def oracle_rates(
     propagator: EigenPropagator, tau: float, region: OrbitRegion, betas, dtau_fd: float = 1e-3,
     floor: float = ENTROPY_FLOOR,
@@ -443,25 +463,19 @@ def oracle_rates(
     """Independent instantaneous rate of every row's region quantity at tau, keyed by Quantity.key.
 
     Takes the states at oracle_times(tau, dtau_fd) from the propagator,
-    builds W at both on the region's grid and central-differences each
-    region quantity between them (sigma, svn, purity as 2 pi int W^2, the
-    Renyi power integrals).  A row whose quantity is undefined gets its
-    RejectionError as value.
+    builds W at both on the region's grid and central-differences their
+    Snapshot.quantities reads (sigma, svn, purity as 2 pi int W^2, the
+    Renyi power integrals).  A row whose quantity is undefined at either
+    gets the first RejectionError as value.
     """
     if not (np.isfinite(dtau_fd) and dtau_fd > 0):
         raise RejectionError(f"dtau_fd must be positive and finite, got {dtau_fd}")
-    times = oracle_times(tau, dtau_fd)
-    pair = [Snapshot(wigner_transform(propagator.state(t), region.grid), region) for t in times]
-    out = {}
-    for q in quantities(betas):
-        try:
-            before, after = (snap.quantity(q, floor) for snap in pair)
-            out[q.key] = (after - before) / (2.0 * dtau_fd)
-        except RejectionError as exc:
-            # kept without its traceback: the traceback's frames reach this
-            # dict and both snapshots, a cycle only the garbage collector frees
-            out[q.key] = exc.with_traceback(None)
-    return out
+    rows = quantities(betas)
+    before, after = (
+        Snapshot(wigner_transform(propagator.state(t), region.grid), region).quantities(rows, floor)
+        for t in oracle_times(tau, dtau_fd)
+    )
+    return _change(before, after, 2.0 * dtau_fd)
 
 
 def _rel_dev(value: float, reference: float, floor: float = 1e-12) -> float:
@@ -532,17 +546,6 @@ def _diagonal_sample(q: Quantity, w_pt: float, dj_pt: float, vx_pt: float, epsil
     return sign * weight(w_pt) * dj_pt * vx_pt
 
 
-def _region_quantities(snap: Snapshot, rows, floor: float) -> dict:
-    """Region quantity of every row; None where it is undefined."""
-    out = {}
-    for q in rows:
-        try:
-            out[q.key] = snap.quantity(q, floor)
-        except RejectionError:
-            out[q.key] = None
-    return out
-
-
 def period_accumulation(
     propagator: EigenPropagator,
     region: OrbitRegion,
@@ -555,17 +558,21 @@ def period_accumulation(
 ) -> dict:
     """Period-accumulated forms of every flux over one period of the region's orbit.
 
-    Each time node's snapshot is evaluated once and serves all four values
-    per quantity:
+    Each time node's snapshot is evaluated once, into its block and its
+    sample at the orbit point nearest tau_j, and each end node's also into
+    one Snapshot.quantities read.  After the last node, every row reads its
+    four values from them:
       frozen          loop integral with W frozen at tau = 0 (printed form):
-                      the loop value of the tau = 0 node's snapshot,
+                      the loop value of the tau = 0 node's block,
       time_consistent the printed parametric integral with W(tau) regenerated
                       at each quadrature node (diagonal sampling),
-      balance         trapezoidal time integral over [0, T] of the
-                      instantaneous balance forms (loop + volume term),
+      balance         trapezoidal time integral over [0, T] of the blocks'
+                      balance forms (loop + volume term),
       direct_change   Q(T) - Q(0) of the region-restricted quantity, divided
                       by the row's factor: the independent reference for
-                      `balance`.
+                      `balance`; None where either read rejects the row.
+    A row with no balance form at some node reports the first such node's
+    rejection.
 
     The state at each of the n_nodes + 1 equally spaced nodes tau_j on
     [0, T] comes from the propagator, the run's one eigen expansion, under
@@ -583,46 +590,31 @@ def period_accumulation(
     taus = np.linspace(0.0, T, n_nodes + 1)
     rows = quantities(betas)
 
-    inst = {q.key: [] for q in rows}
-    diag = {q.key: [] for q in rows}
-    frozen: dict[str, float] = {}
-    rejected: dict[str, str] = {}
-    ends: dict[int, dict] = {}  # region quantities at the first and last node
-
+    blocks, samples, ends = [], [], {}
     for j, tau_j in enumerate(taus):
         phi = propagator.state(tau_j)
         snap = Snapshot(wigner_transform(phi, region.grid), region, propagator.potential, nu_max, epsilon_mask)
-        blk = snap.block(betas, epsilon_entropy)
+        blocks.append(snap.block(betas, epsilon_entropy))
         # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
         i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
-        w_pt, dj_pt, vx_pt = float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]
-
-        for q in rows:
-            entry = q.entry(blk)
-            if j == 0:
-                frozen[q.key] = entry.get("loop", float("nan"))
-            if "full" in entry:
-                inst[q.key].append(entry["full"])
-            else:
-                rejected.setdefault(q.key, entry.get("rejected", entry.get("volume_term_rejected", "")))
-                inst[q.key].append(np.nan)
-            diag[q.key].append(_diagonal_sample(q, w_pt, dj_pt, vx_pt, epsilon_entropy))
+        samples.append((float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]))
         if j in (0, n_nodes):
-            ends[j] = _region_quantities(snap, rows, epsilon_entropy)
+            ends[j] = snap.quantities(rows, epsilon_entropy)
 
     out: dict = {"period": T, "n_nodes": n_nodes}
-    start, end = ends[0], ends[n_nodes]
+    changes = _change(ends[0], ends[n_nodes])
     for q in rows:
-        key = q.key
-        balance = float(np.trapezoid(np.asarray(inst[key]), taus))
-        time_consistent = float(np.trapezoid(np.asarray(diag[key]), taus))
-        direct = None
-        if start[key] is not None and end[key] is not None:
-            direct = (end[key] - start[key]) / q.factor
-        entry = {"frozen": frozen[key], "time_consistent": time_consistent, "balance": balance, "direct_change": direct}
+        entries = [q.entry(blk) for blk in blocks]
+        balance = float(np.trapezoid([e.get("full", np.nan) for e in entries], taus))
+        diag = [_diagonal_sample(q, *sample, epsilon_entropy) for sample in samples]
+        change = changes[q.key]
+        direct = None if isinstance(change, RejectionError) else change / q.factor
+        entry = {"frozen": entries[0].get("loop", np.nan), "time_consistent": float(np.trapezoid(diag, taus)),
+                 "balance": balance, "direct_change": direct}
         if direct is not None and np.isfinite(balance):
             entry["rel_dev"] = _rel_dev(balance, direct)
-        if key in rejected:
-            entry["rejected"] = rejected[key]
-        out[key] = entry
+        rejected = [e.get("rejected", e.get("volume_term_rejected", "")) for e in entries if "full" not in e]
+        if rejected:
+            entry["rejected"] = rejected[0]
+        out[q.key] = entry
     return out

@@ -188,17 +188,17 @@ def integrate_volume(
 
 
 @lru_cache(maxsize=None)
-def stencil_weights(order: int, accuracy: int = STENCIL_ACCURACY) -> np.ndarray:
+def stencil_weights(order: int) -> np.ndarray:
     """Central finite-difference weights for d^order/dx^order at unit spacing.
 
     Uses Fornberg's recursion on a symmetric node set; the returned array has
-    odd length ``2*m + 1`` with ``2*m + 1 >= order + accuracy`` (order and
-    accuracy parities matched so the central stencil attains the design
+    odd length ``2*m + 1`` with ``2*m + 1 >= order + STENCIL_ACCURACY`` (order
+    and accuracy parities matched so the central stencil attains the design
     accuracy), exactly even or odd about its centre.
     """
     if order < 1:
         raise RejectionError(f"derivative order must be >= 1, got {order}")
-    half = (order + accuracy - 1) // 2
+    half = (order + STENCIL_ACCURACY - 1) // 2
     x = np.arange(-half, half + 1, dtype=float)
     n = x.size
     # Fornberg weight recursion (B. Fornberg, Math. Comp. 51, 1988), expansion point 0.

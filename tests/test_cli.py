@@ -318,6 +318,58 @@ def test_a_run_needs_no_scipy(tmp_path):
     assert (tmp_path / "out" / "report.json").is_file()
 
 
+#: fluxes.csv's columns for beta_list (0.5, 2, 3), each with the block entry it reads.
+FLUX_COLUMNS = {
+    "tau": ("tau",),
+    "sigma_flux": ("sigma", "loop"), "sigma_oracle": ("sigma", "oracle"), "sigma_rel_dev": ("sigma", "rel_dev"),
+    "svn_flux": ("svn", "loop"), "svn_volume_term": ("svn", "volume_term"), "svn_full": ("svn", "full"),
+    "svn_oracle": ("svn", "oracle"), "svn_rel_dev": ("svn", "rel_dev"),
+    "purity_flux": ("purity", "loop"), "purity_volume_term": ("purity", "volume_term"),
+    "purity_full": ("purity", "full"), "purity_oracle_dP": ("purity", "oracle"),
+    "purity_oracle_2pi_adjusted": ("purity", "oracle_2pi_adjusted"), "purity_rel_dev": ("purity", "rel_dev"),
+    **{
+        f"renyi_{column}_{tag}": ("renyi", tag, key)
+        for tag in ("0.5", "2", "3")
+        for column, key in (
+            ("flux", "loop"), ("volume_term", "volume_term"), ("full", "full"),
+            ("rate", "rate"), ("oracle", "oracle"), ("rel_dev", "rel_dev"),
+        )
+    },
+}
+
+
+def test_flux_csv_cells_are_the_block_entries_they_name(tmp_path):
+    cli.run(parse_config({**SMALL, "beta_list": [0.5, 2, 3]}), tmp_path / "out")
+    with (tmp_path / "out" / "fluxes.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == [
+        "tau",
+        "sigma_flux", "sigma_oracle", "sigma_rel_dev",
+        "svn_flux", "svn_volume_term", "svn_full", "svn_oracle", "svn_rel_dev",
+        "purity_flux", "purity_volume_term", "purity_full",
+        "purity_oracle_dP", "purity_oracle_2pi_adjusted", "purity_rel_dev",
+        "renyi_flux_0.5", "renyi_volume_term_0.5", "renyi_full_0.5",
+        "renyi_rate_0.5", "renyi_oracle_0.5", "renyi_rel_dev_0.5",
+        "renyi_flux_2", "renyi_volume_term_2", "renyi_full_2", "renyi_rate_2", "renyi_oracle_2", "renyi_rel_dev_2",
+        "renyi_flux_3", "renyi_volume_term_3", "renyi_full_3", "renyi_rate_3", "renyi_oracle_3", "renyi_rel_dev_3",
+    ]
+    assert header == list(FLUX_COLUMNS)
+    # report.json writes every non-finite value as null, as fluxes.csv writes it empty
+    blocks = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["times"]
+    assert len(rows) == len(blocks) == len(SMALL["output_times"])
+    empty = 0
+    for row, blk in zip(rows, blocks):
+        for cell, path in zip(row, FLUX_COLUMNS.values(), strict=True):
+            entry = blk
+            for key in path[:-1]:
+                entry = entry[key]
+            value = entry.get(path[-1])
+            assert cell == ("" if value is None else repr(float(value))), path
+            empty += value is None
+    # the beta = 0.5 row rejects its volume term, so some cells are empty
+    assert 0 < empty < len(rows) * len(header)
+
+
 def test_orbit_csv_matches_the_row_by_row_writer(tmp_path):
     # the column-wise writer gives the same bytes as one repr(float) per cell
     config = parse_config(SMALL)

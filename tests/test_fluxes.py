@@ -523,6 +523,25 @@ class TestPeriodAccumulation:
         for key in ("sigma", "svn", "purity"):
             assert np.isfinite(acc[key]["time_consistent"])
 
+    def test_rejected_row_keeps_its_first_rejection(self, pgrid, cgrid, quartic_orbit):
+        # the cat state's W is negative on the orbit, so the beta = 0.5 loop
+        # rejects at every node and its region power integral is undefined
+        pot, region, betas = pure_quartic(), OrbitRegion(quartic_orbit, pgrid), (0.5, 2.0)
+        prop = propagator(cat(1.5, 0.0), pot, cgrid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            acc = period_accumulation(prop, region, 2, betas, n_nodes=4)
+            first = Snapshot(wigner_transform(prop.state(0.0), pgrid), region, pot, 2).block(betas)
+        half = acc["renyi_0.5"]
+        assert all(np.isnan(half[key]) for key in ("frozen", "time_consistent", "balance"))
+        assert half["direct_change"] is None and "rel_dev" not in half
+        assert half["rejected"] == first["renyi"]["0.5"]["rejected"]
+        start, end = (
+            Snapshot(wigner_transform(prop.state(t), pgrid), region).quantity(renyi(2.0))
+            for t in (0.0, quartic_orbit.period)
+        )
+        assert acc["renyi_2"]["direct_change"] == end - start
+
     def test_sampling_plan_is_built_once_per_orbit(self, monkeypatch, harmonic_orbit):
         # the span, the slope operators, the cells and the Hermite weights
         # depend on the orbit and the grid, not on the number of snapshots
