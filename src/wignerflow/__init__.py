@@ -10,6 +10,9 @@ from .classical import ClassicalOrbit, period_quadrature, solve_orbit
 from .currents import MaskedField, continuity_residual, delta_current, div_w
 from .errors import ConfigError, RejectionError, WignerFlowError
 from .fluxes import (
+    PURITY,
+    SIGMA,
+    SVN,
     OrbitRegion,
     Snapshot,
     oracle_rates,
@@ -17,6 +20,8 @@ from .fluxes import (
     orbit_interior_mask,
     period_accumulation,
     quantities,
+    renyi,
+    renyi_entropy,
 )
 from .grid import (
     CoordinateGrid,
@@ -24,17 +29,6 @@ from .grid import (
     PhaseSpaceGrid,
     integrate_volume,
     partial_derivative,
-)
-from .observables import (
-    WeylSymbol,
-    expectation,
-    hamiltonian_symbol,
-    momentum_symbol,
-    position_symbol,
-    purity,
-    renyi_entropy,
-    unit_symbol,
-    von_neumann_entropy,
 )
 from .potentials import PotentialModel, double_well, harmonic, pure_quartic, quartic_perturbed
 from .states import (

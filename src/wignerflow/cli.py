@@ -23,7 +23,6 @@ from .classical import solve_orbit
 from .currents import DEFAULT_NU_MAX, require_nu_max
 from .errors import ConfigError, RejectionError
 from .grid import CoordinateGrid, DimensionlessMap, PhaseSpaceGrid
-from .observables import ENTROPY_FLOOR, require_beta
 from .potentials import CATALOG, PotentialModel
 from .states import EigenPropagator, StateSpec, evaluate_state, require_time, wigner_transform
 
@@ -197,7 +196,7 @@ def _parse(raw: dict) -> RunConfig:
 
     nu_max = _number(raw, "nu_max", "top level", DEFAULT_NU_MAX, int)
     require_nu_max(nu_max)
-    epsilon_entropy = _number(raw, "epsilon_entropy", "top level", ENTROPY_FLOOR)
+    epsilon_entropy = _number(raw, "epsilon_entropy", "top level", fx.ENTROPY_FLOOR)
     if epsilon_entropy <= 0:
         raise ConfigError(f"epsilon_entropy must be positive, got {epsilon_entropy}")
     epsilon_mask = raw.get("epsilon_mask")
@@ -209,7 +208,7 @@ def _parse(raw: dict) -> RunConfig:
     betas = tuple(_finite(b, "beta_list[]") for b in _list(raw.get("beta_list", (0.5, 2.0, 3.0)), "beta_list"))
     tagged = {}
     for b in betas:
-        require_beta(b)
+        fx.require_beta(b)
         tag = fx.renyi(b).tag
         if tag in tagged:
             raise ConfigError(f"beta_list values {tagged[tag]!r} and {b!r} share the report tag {tag!r}")

@@ -20,9 +20,9 @@ Every loop flux vanishes identically when the current is classical.  A
 row's domain rule says where its weight is defined: ln|W| and a power
 with beta < 1 need |W| > epsilon, a fractional power needs W >= 0 above
 the floor.  The loop form, its per-point form in period_accumulation and
-the volume term all read that rule from the row.  The svn and purity
-densities are the integrands of observables.von_neumann_entropy and
-observables.purity.
+the volume term all read that rule from the row.  Each row also defines
+its whole-grid total, Quantity.total = factor * int density(W) dV (the
+purity, the entropy -int W ln|W| in nats, renyi_entropy's integral).
 
 An OrbitRegion is built once per orbit and grid, and every snapshot
 reads its orbit, its grid and its spline sampling plan from it: the
@@ -69,15 +69,6 @@ from .currents import DEFAULT_NU_MAX, MaskedField, delta_current, div_w
 from .errors import RejectionError
 from .classical import ClassicalOrbit
 from .grid import PhaseSpaceGrid, integrate_volume
-from .observables import (
-    ENTROPY_FLOOR,
-    PURITY_FACTOR,
-    entropy_density,
-    negative_nodes,
-    power_field,
-    require_beta,
-    require_power_domain,
-)
 from .potentials import PotentialModel
 from .spline import GridSpline, SamplingPlan
 from .states import CAPTURE_LIMIT, EigenPropagator, WignerField, wigner_transform
@@ -86,6 +77,58 @@ from .states import CAPTURE_LIMIT, EigenPropagator, WignerField, wigner_transfor
 REGION_LOOP_SAMPLES = 256
 #: Gauss-Legendre nodes in x per loop sample of OrbitRegion's region quadrature.
 REGION_GAUSS_NODES = 16
+#: Default magnitude floor below which nodes drop out of entropy quadratures.
+ENTROPY_FLOOR = 1e-30
+#: Weyl normalisation of the purity, PURITY_FACTOR * int W^2.
+PURITY_FACTOR = 2.0 * np.pi
+
+
+def entropy_density(values: np.ndarray, floor: float = ENTROPY_FLOOR) -> np.ndarray:
+    """-W ln|W| on nodes with |W| > floor, zero elsewhere."""
+    keep = np.abs(values) > floor
+    out = np.zeros_like(values)
+    out[keep] = -values[keep] * np.log(np.abs(values[keep]))
+    return out
+
+
+def require_beta(beta: float) -> None:
+    """Reject a Renyi order that is not positive or equals 1."""
+    if beta <= 0 or beta == 1.0:
+        raise RejectionError(f"beta must be positive and different from 1, got {beta}")
+
+
+def negative_nodes(values: np.ndarray, floor: float = ENTROPY_FLOOR) -> np.ndarray:
+    """Nodes where W < 0 with |W| > floor: where a non-integer power of W is undefined."""
+    return (values < 0.0) & (np.abs(values) > floor)
+
+
+def require_power_domain(values: np.ndarray, beta: float, floor: float = ENTROPY_FLOOR) -> None:
+    """Reject a beta for which W**beta is undefined on the given nodes.
+
+    beta must be positive and different from 1; a non-integer beta also
+    needs every node above the floor to be non-negative.
+    """
+    require_beta(beta)
+    if not float(beta).is_integer():
+        negative = int(np.count_nonzero(negative_nodes(values, floor)))
+        if negative:
+            raise RejectionError(
+                f"W**beta undefined for non-integer beta={beta}: {negative} negative nodes above floor"
+            )
+
+
+def power_field(values: np.ndarray, beta: float, floor: float = ENTROPY_FLOOR) -> np.ndarray:
+    """W**beta with the signed-power convention and magnitude floor.
+
+    Nodes with |W| <= floor contribute zero.  Even integer beta is always
+    allowed; odd integer beta keeps the sign; non-integer beta requires a
+    non-negative field above the floor (see require_power_domain).
+    """
+    require_power_domain(values, beta, floor)
+    keep = np.abs(values) > floor
+    out = np.zeros_like(values, dtype=float)
+    out[keep] = values[keep] ** (int(beta) if float(beta).is_integer() else beta)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +182,11 @@ class Quantity:
         small = self.singular and np.abs(w) <= epsilon
         return negative, small
 
+    def total(self, w: WignerField, floor: float = ENTROPY_FLOOR) -> float:
+        """The row's whole-grid quantity, factor * int density(W) dV: purity 1 for a pure state."""
+        self.check(floor)
+        return self.factor * integrate_volume(w.grid, self.density(w.values, floor))
+
 
 SIGMA = Quantity("sigma", loop=(-1.0, lambda w: 1.0), volume=None, density=lambda v, floor: v)
 SVN = Quantity(
@@ -166,6 +214,14 @@ def renyi(beta: float) -> Quantity:
 def quantities(betas=()) -> list[Quantity]:
     """The flux table: sigma, svn, purity and one Renyi row per beta."""
     return [SIGMA, SVN, PURITY, *map(renyi, betas)]
+
+
+def renyi_entropy(w: WignerField, beta: float, floor: float = ENTROPY_FLOOR) -> float:
+    """(1 - beta)^-1 ln integral of W**beta."""
+    integral = renyi(beta).total(w, floor)
+    if integral <= 0.0:
+        raise RejectionError(f"integral of W**{beta} is {integral:.3e}, not positive")
+    return float(np.log(integral) / (1.0 - beta))
 
 
 def _scanline_inside(xs: np.ndarray, ks: np.ndarray, vx: np.ndarray, vk: np.ndarray) -> np.ndarray:
@@ -279,7 +335,10 @@ class Snapshot:
     region: OrbitRegion
     potential: PotentialModel | None = None
     nu_max: int = DEFAULT_NU_MAX
+    #: The |W| floor of the phase-velocity quotient in div(w).
     epsilon_mask: float | None = None
+    #: The floor of every row's domain rule, volume weight and density (see Quantity).
+    epsilon_entropy: float = ENTROPY_FLOOR
 
     def __post_init__(self) -> None:
         grid, orbit = self.w.grid, self.orbit
@@ -328,18 +387,15 @@ class Snapshot:
         """W at the region's quadrature nodes."""
         return self.w_spline.at("nodes")
 
-    def loop(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> float:
-        """Loop flux of one row, rejected where an orbit sample lies outside its domain.
-
-        epsilon is the |W| floor of a singular weight and the sign floor of a
-        fractional power.
-        """
+    def loop(self, q: Quantity) -> float:
+        """Loop flux of one row, rejected where an orbit sample lies outside its domain."""
+        epsilon = self.epsilon_entropy
         q.check(epsilon)
         if q.scale_sensitive:
             total = self.w.total()
             if abs(total - 1.0) > CAPTURE_LIMIT:
                 warnings.warn(
-                    f"{q.name}_flux on an unnormalized field (integral {total:.6g}): "
+                    f"{q.name} loop flux on an unnormalized field (integral {total:.6g}): "
                     "the ln W weight is scale-sensitive", RuntimeWarning, stacklevel=3,
                 )
         w_on = self.w_on
@@ -357,17 +413,16 @@ class Snapshot:
         sign, weight = q.loop
         return sign * float(np.sum(weight(w_on) * self.dj_on * self.orbit.vx) * self.orbit.dtau)
 
-    def volume(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> tuple[float, int]:
+    def volume(self, q: Quantity) -> tuple[float, int]:
         """Unsigned volume correction int p(W) div(w) dV of one row over the orbit interior.
 
         Evaluated on the region's window: p(W), the integrand and its
         quadrature read no node outside it.  Nodes where the phase-velocity
         quotient is masked contribute zero; returns the value and their
-        count within the interior.  floor is the sign floor and magnitude
-        floor of a fractional power, whose row is rejected when W has
-        negative nodes above it anywhere on the grid.
+        count within the interior.  A fractional row is rejected when W has
+        negative nodes above the floor anywhere on the grid.
         """
-        window, inside, dv = self.region.window, self.region.inside, self.div
+        window, inside, dv, floor = self.region.window, self.region.inside, self.div, self.epsilon_entropy
         if q.fractional:
             # whether W**beta is defined is decided on the whole grid
             require_power_domain(self.w.values, q.beta, floor)
@@ -377,23 +432,23 @@ class Snapshot:
         masked = int(np.count_nonzero(inside)) - int(np.count_nonzero(keep))
         return integrate_volume(self.w.grid, integrand, mask=keep, window=window), masked
 
-    def quantity(self, q: Quantity, floor: float = ENTROPY_FLOOR) -> float:
+    def quantity(self, q: Quantity) -> float:
         """Region quantity of one row: factor * int density(W) over the orbit interior."""
-        return q.factor * self.region.integral(q.density(self.region_w, floor))
+        return q.factor * self.region.integral(q.density(self.region_w, self.epsilon_entropy))
 
-    def quantities(self, rows, floor: float = ENTROPY_FLOOR) -> dict:
+    def quantities(self, rows) -> dict:
         """Region quantity of every row, keyed by Quantity.key; a row's RejectionError where it is undefined."""
         out = {}
         for q in rows:
             try:
-                out[q.key] = self.quantity(q, floor)
+                out[q.key] = self.quantity(q)
             except RejectionError as exc:
                 # kept without its traceback: the traceback's frames reach this
                 # dict and the snapshot, a cycle only the garbage collector frees
                 out[q.key] = exc.with_traceback(None)
         return out
 
-    def block_entry(self, q: Quantity, epsilon: float = ENTROPY_FLOOR) -> dict:
+    def block_entry(self, q: Quantity) -> dict:
         """One row's block entry: loop flux, volume term, balance form.
 
         A Renyi row is one member of a family whose fractional members are
@@ -403,7 +458,7 @@ class Snapshot:
         """
         per_entry = q.beta is not None
         try:
-            flux = self.loop(q, epsilon)
+            flux = self.loop(q)
         except RejectionError as exc:
             if not per_entry:
                 raise
@@ -413,7 +468,7 @@ class Snapshot:
             entry["full"] = flux
         else:
             try:
-                value, masked = self.volume(q, epsilon)
+                value, masked = self.volume(q)
                 sign, _ = q.volume
                 entry.update(volume_term=value, masked_nodes=masked, full=flux + sign * value)
             except RejectionError as exc:
@@ -422,7 +477,7 @@ class Snapshot:
                 entry["volume_term_rejected"] = str(exc)
         if per_entry:
             try:
-                power_integral = self.quantity(q, epsilon)
+                power_integral = self.quantity(q)
                 entry["region_power_integral"] = power_integral
                 if power_integral > 0:
                     entry["rate"] = flux / power_integral
@@ -430,9 +485,9 @@ class Snapshot:
                 entry["rate_rejected"] = str(exc)
         return entry
 
-    def block(self, betas, epsilon_entropy: float = ENTROPY_FLOOR) -> dict:
+    def block(self, betas) -> dict:
         """All loop fluxes, volume terms and balance forms (see instantaneous_block)."""
-        entries = [(q, self.block_entry(q, epsilon_entropy)) for q in quantities(betas)]
+        entries = [(q, self.block_entry(q)) for q in quantities(betas)]
         block: dict = {"tau": self.w.tau, **{q.name: e for q, e in entries if q.beta is None}}
         block["renyi"] = {q.tag: e for q, e in entries if q.beta is not None}
         return block
@@ -472,7 +527,7 @@ def oracle_rates(
         raise RejectionError(f"dtau_fd must be positive and finite, got {dtau_fd}")
     rows = quantities(betas)
     before, after = (
-        Snapshot(wigner_transform(propagator.state(t), region.grid), region).quantities(rows, floor)
+        Snapshot(wigner_transform(propagator.state(t), region.grid), region, epsilon_entropy=floor).quantities(rows)
         for t in oracle_times(tau, dtau_fd)
     )
     return _change(before, after, 2.0 * dtau_fd)
@@ -504,7 +559,7 @@ def instantaneous_block(
         renyi_full  = renyi_loop - (beta-1) int W**beta div(w)
     epsilon_mask is the |W| floor of the phase-velocity quotient in div(w).
     """
-    return Snapshot(w, region, potential, nu_max, epsilon_mask).block(betas, epsilon_entropy)
+    return Snapshot(w, region, potential, nu_max, epsilon_mask, epsilon_entropy).block(betas)
 
 
 def attach_oracles(
@@ -577,7 +632,7 @@ def period_accumulation(
     The state at each of the n_nodes + 1 equally spaced nodes tau_j on
     [0, T] comes from the propagator, the run's one eigen expansion, under
     whose potential the snapshots are evaluated on the region's grid, with
-    the same epsilon_mask as instantaneous_block; each state is dropped
+    the same floors as instantaneous_block; each state is dropped
     once its snapshot is.
 
     Once nodal lines of W enter the region, the svn volume integrand
@@ -593,13 +648,15 @@ def period_accumulation(
     blocks, samples, ends = [], [], {}
     for j, tau_j in enumerate(taus):
         phi = propagator.state(tau_j)
-        snap = Snapshot(wigner_transform(phi, region.grid), region, propagator.potential, nu_max, epsilon_mask)
-        blocks.append(snap.block(betas, epsilon_entropy))
+        snap = Snapshot(
+            wigner_transform(phi, region.grid), region, propagator.potential, nu_max, epsilon_mask, epsilon_entropy
+        )
+        blocks.append(snap.block(betas))
         # Diagonal (time-consistent) form: the orbit sample nearest tau_j.
         i_pt = int(round(tau_j / orbit.dtau)) % orbit.x.size
         samples.append((float(snap.w_on[i_pt]), float(snap.dj_on[i_pt]), orbit.vx[i_pt]))
         if j in (0, n_nodes):
-            ends[j] = snap.quantities(rows, epsilon_entropy)
+            ends[j] = snap.quantities(rows)
 
     out: dict = {"period": T, "n_nodes": n_nodes}
     changes = _change(ends[0], ends[n_nodes])

@@ -8,7 +8,7 @@ the error budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class PotentialModel:
 
     label: str
     coefficients: tuple[float, ...]
-    parameters: dict = field(default_factory=dict)
 
     @property
     def parity_even(self) -> bool:
@@ -46,7 +45,7 @@ def harmonic() -> PotentialModel:
 
 def quartic_perturbed(lam: float) -> PotentialModel:
     """u(x) = x^2/2 + lam * x^4."""
-    return PotentialModel("quartic_perturbed", (0.0, 0.0, 0.5, 0.0, float(lam)), {"lambda": float(lam)})
+    return PotentialModel("quartic_perturbed", (0.0, 0.0, 0.5, 0.0, float(lam)))
 
 
 def pure_quartic() -> PotentialModel:
@@ -58,7 +57,7 @@ def double_well(lam: float) -> PotentialModel:
     """u(x) = -x^2/2 + lam * x^4; bounded below for lam > 0."""
     if lam <= 0:
         raise RejectionError(f"double well requires lam > 0, got {lam}")
-    return PotentialModel("double_well", (0.0, 0.0, -0.5, 0.0, float(lam)), {"lambda": float(lam)})
+    return PotentialModel("double_well", (0.0, 0.0, -0.5, 0.0, float(lam)))
 
 
 CATALOG = {

@@ -118,8 +118,9 @@ class StateSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("harmonic_eigenstate", "coherent", "cat", "superposition"):
             raise RejectionError(f"unknown state kind {self.kind!r}")
-        if self.kind == "harmonic_eigenstate" and (self.n < 0 or self.n > 512):
-            raise RejectionError(f"eigenstate index out of range: {self.n}")
+        for n in (self.n,) if self.kind == "harmonic_eigenstate" else (n for _, n in self.terms):
+            if n < 0 or n > 512:
+                raise RejectionError(f"eigenstate index out of range: {n}")
         if self.kind == "superposition" and not self.terms:
             raise RejectionError("superposition needs at least one term")
         if self.kind == "superposition" and all(c == 0 for c, _ in self.terms):

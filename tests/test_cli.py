@@ -48,6 +48,8 @@ MALFORMED = {
     "boolean x0": {"state": {"kind": "coherent", "x0": True, "k0": 0.5}},
     "boolean beta": {"beta_list": [True]},
     "all-zero superposition": {"state": {"kind": "superposition", "terms": [{"re": 0.0, "n": 0}, {"n": 1}]}},
+    "negative superposition index": {"state": {"kind": "superposition", "terms": [{"re": 1.0, "n": -1}]}},
+    "superposition index beyond 512": {"state": {"kind": "superposition", "terms": [{"re": 1.0, "n": 513}]}},
 }
 
 #: Configs that pass validation and are rejected in the run: changes and the stage that rejects them.
@@ -259,6 +261,23 @@ def test_every_div_w_reads_the_configured_epsilon_mask(tmp_path, monkeypatch):
     cli.run(config, tmp_path / "out")
     assert len(seen) == len(SMALL["output_times"]) + 5
     assert seen == [1e-3] * len(seen)
+
+
+def test_every_snapshot_reads_the_configured_epsilon_entropy(tmp_path, monkeypatch):
+    # the output blocks, both oracle states of each time and every
+    # accumulation node read the same floor
+    seen = []
+
+    class Recording(fluxes.Snapshot):
+        def __post_init__(self):
+            super().__post_init__()
+            seen.append(self.epsilon_entropy)
+
+    monkeypatch.setattr(fluxes, "Snapshot", Recording)
+    config = parse_config({**SMALL, "epsilon_entropy": 1e-12, "accumulation": {"enabled": True, "time_nodes": 4}})
+    cli.run(config, tmp_path / "out")
+    assert len(seen) == 3 * len(SMALL["output_times"]) + 5
+    assert seen == [1e-12] * len(seen)
 
 
 def test_volume_term_reads_the_configured_epsilon_entropy(tmp_path):

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from wignerflow import fluxes
 from wignerflow.classical import solve_orbit
 from wignerflow.errors import RejectionError
-from wignerflow.fluxes import PURITY, OrbitRegion, Snapshot, quantities, renyi
+from wignerflow.fluxes import ENTROPY_FLOOR, PURITY, PURITY_FACTOR, OrbitRegion, Snapshot, quantities, renyi
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid
-from wignerflow.observables import ENTROPY_FLOOR, PURITY_FACTOR
 from wignerflow.potentials import harmonic, pure_quartic
 from wignerflow.states import StateSpec, evaluate_state, wigner_transform
 

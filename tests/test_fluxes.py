@@ -23,12 +23,12 @@ from wignerflow.fluxes import (
     oracle_times,
     orbit_interior_mask,
     period_accumulation,
+    power_field,
     quantities,
     renyi,
 )
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import delta_current, div_w
-from wignerflow.observables import power_field
 from wignerflow.potentials import harmonic, pure_quartic
 from wignerflow.states import EigenPropagator, WignerField, cat, coherent, evaluate_state, wigner_transform
 
@@ -257,7 +257,10 @@ class TestLoopFluxAlgebra:
 
     def test_svn_rejects_orbit_through_small_w(self, offset_gaussian_w, quartic_orbit):
         with pytest.raises(RejectionError, match="<= epsilon"):
-            snapshot(offset_gaussian_w, quartic_orbit, pure_quartic()).loop(SVN, epsilon=1.0)
+            Snapshot(
+                offset_gaussian_w, OrbitRegion(quartic_orbit, offset_gaussian_w.grid), pure_quartic(), 2,
+                epsilon_entropy=1.0,
+            ).loop(SVN)
 
     def test_renyi_rejects_negative_samples_for_fractional_beta(self, excited_w):
         # the first excited state is negative inside r < 1/sqrt(2)

@@ -1,90 +1,64 @@
-"""Expectation values, purity, and the entropy family."""
+"""Phase-space moments, purity, and the entropy family."""
 
 import numpy as np
 import pytest
 
 from wignerflow.errors import RejectionError
+from wignerflow.fluxes import PURITY, SVN, power_field, renyi_entropy
 from wignerflow.grid import integrate_volume
-from wignerflow.observables import (
-    WeylSymbol,
-    expectation,
-    hamiltonian_symbol,
-    position_symbol,
-    power_field,
-    purity,
-    renyi_entropy,
-    unit_symbol,
-    von_neumann_entropy,
-)
 from wignerflow.potentials import harmonic
 from wignerflow.states import WignerField
 
 
 class TestExpectation:
     def test_unit_symbol_gives_normalization(self, ground_w):
-        assert expectation(ground_w, unit_symbol(ground_w.grid)) == pytest.approx(1.0, abs=1e-6)
+        assert integrate_volume(ground_w.grid, ground_w.values) == pytest.approx(1.0, abs=1e-6)
 
     def test_ground_state_energy(self, ground_w):
         # dimensionless ground-state energy is 1/2
-        h = hamiltonian_symbol(ground_w.grid, harmonic())
-        assert expectation(ground_w, h) == pytest.approx(0.5, abs=1e-4)
+        X, K = ground_w.grid.meshes()
+        h = 0.5 * K**2 + harmonic().u(X)
+        assert integrate_volume(ground_w.grid, ground_w.values * h) == pytest.approx(0.5, abs=1e-4)
 
     def test_position_vanishes_for_even_state(self, ground_w):
-        assert expectation(ground_w, position_symbol(ground_w.grid)) == pytest.approx(0.0, abs=1e-8)
-
-    def test_grid_mismatch_rejected(self, ground_w):
-        from wignerflow.grid import PhaseSpaceGrid
-
-        other = PhaseSpaceGrid.centered(4.0, 4.0, 64, 64)
-        with pytest.raises(RejectionError, match="different grids"):
-            expectation(ground_w, unit_symbol(other))
-
-    def test_unit_symbol_equals_integrate_volume(self, cat_w):
-        lhs = expectation(cat_w, unit_symbol(cat_w.grid))
-        rhs = integrate_volume(cat_w.grid, cat_w.values)
-        assert lhs == rhs
-
-    def test_non_finite_symbol_rejected(self, pgrid):
-        values = np.ones(pgrid.shape)
-        values[0, 0] = np.inf
-        with pytest.raises(RejectionError):
-            WeylSymbol(values, pgrid)
+        X, _ = ground_w.grid.meshes()
+        assert integrate_volume(ground_w.grid, ground_w.values * X) == pytest.approx(0.0, abs=1e-8)
 
 
 class TestPurity:
     def test_pure_states(self, ground_w, excited_w, cat_w):
         for w in (ground_w, excited_w, cat_w):
-            assert purity(w) == pytest.approx(1.0, abs=1e-4)
+            assert PURITY.total(w) == pytest.approx(1.0, abs=1e-4)
 
     def test_equal_mixture_of_orthogonal_states(self, ground_w, excited_w):
         # purity of (W0 + W1)/2 is (1 + 2 Tr[rho0 rho1] + 1)/4 = 1/2 for
         # orthogonal states
         mix = WignerField(0.5 * (ground_w.values + excited_w.values), ground_w.grid)
-        assert purity(mix) == pytest.approx(0.5, abs=1e-3)
+        assert PURITY.total(mix) == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_field(self, pgrid):
-        assert purity(WignerField(np.zeros(pgrid.shape), pgrid)) == 0.0
+        assert PURITY.total(WignerField(np.zeros(pgrid.shape), pgrid)) == 0.0
 
 
 class TestVonNeumannEntropy:
     def test_ground_state_closed_form(self, gaussian_w):
         # -int W ln W = ln(pi) * 1 + int r^2 W = ln(pi) + 1 for the Gaussian
-        assert von_neumann_entropy(gaussian_w, 1e-30) == pytest.approx(
+        assert SVN.total(gaussian_w, 1e-30) == pytest.approx(
             1.0 + np.log(np.pi), abs=1e-3
         )
 
     def test_zero_field(self, pgrid):
-        assert von_neumann_entropy(WignerField(np.zeros(pgrid.shape), pgrid)) == 0.0
+        assert SVN.total(WignerField(np.zeros(pgrid.shape), pgrid)) == 0.0
 
     def test_epsilon_stability(self, gaussian_w):
         # tail nodes dropped by the floor carry |W ln W| bounded by
         # eps ln(1/eps) times the grid area, far below 1e-6
-        values = [von_neumann_entropy(gaussian_w, eps) for eps in (1e-30, 1e-20, 1e-12)]
+        values = [SVN.total(gaussian_w, eps) for eps in (1e-30, 1e-20, 1e-12)]
         assert max(values) - min(values) < 1e-6
 
     def test_bad_epsilon_rejected(self, gaussian_w):
         with pytest.raises(RejectionError):
-            von_neumann_entropy(gaussian_w, 0.0)
+            SVN.total(gaussian_w, 0.0)
 
 
 class TestRenyiEntropy:
@@ -95,10 +69,10 @@ class TestRenyiEntropy:
     def test_r2_matches_purity_exactly(self, ground_w):
         # identical discrete sums: exp(-R_2) must equal purity / (2 pi)
         r2 = renyi_entropy(ground_w, 2.0)
-        assert np.exp(-r2) == pytest.approx(purity(ground_w) / (2 * np.pi), rel=1e-10)
+        assert np.exp(-r2) == pytest.approx(PURITY.total(ground_w) / (2 * np.pi), rel=1e-10)
 
     def test_beta_to_one_limit_brackets_shannon(self, gaussian_w):
-        shannon = von_neumann_entropy(gaussian_w, 1e-30)
+        shannon = SVN.total(gaussian_w, 1e-30)
         lo = renyi_entropy(gaussian_w, 1.0 + 1e-4)
         hi = renyi_entropy(gaussian_w, 1.0 - 1e-4)
         assert hi >= lo

@@ -127,6 +127,12 @@ class TestEvaluateState:
         with pytest.raises(RejectionError, match="coefficients are all zero"):
             superposition(terms)
 
+    @pytest.mark.parametrize("n", [-1, 513, 10**300], ids=["negative", "beyond_512", "huge"])
+    def test_superposition_term_index_out_of_range_rejected(self, n):
+        # hermite_function(-1) is phi_1, and a huge n loops n times
+        with pytest.raises(RejectionError, match="eigenstate index out of range"):
+            superposition([(1.0, 0), (1.0, n)])
+
 
 class TestWignerTransform:
     def test_ground_state_closed_form(self, ground_w, pgrid):
