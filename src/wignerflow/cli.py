@@ -44,6 +44,20 @@ _ORBIT_KEYS = {"x0", "k0", "dtau", "samples", "tau_limit"}
 _ACC_KEYS = {"enabled", "time_nodes", "dtau"}
 _UNITS_KEYS = {"m", "omega", "hbar", "q0", "p0", "dt", "dt_fd", "t_out"}
 
+#: Largest magnitude of a configured integer: every integer up to it is a
+#: float64 exactly.
+MAX_INTEGER = 2**53
+
+#: Ceilings on the configured counts, checked before anything is allocated.
+#: Each lies far above every run this program is sized for and far below a
+#: count whose arrays could not be allocated at all: the phase-space nodes
+#: n_x * n_k (a 2048 x 2048 field of 32 MiB), the coordinate nodes, the
+#: orbit samples and the accumulation's time nodes.
+MAX_PHASE_NODES = 2**22
+MAX_COORDINATE_NODES = 2**16
+MAX_ORBIT_SAMPLES = 2**20
+MAX_TIME_NODES = 2**12
+
 
 @dataclass
 class RunConfig:
@@ -108,15 +122,29 @@ def _finite(value, name: str, kind=float):
     """``kind(value)`` when that is a finite number (integral for int); ConfigError otherwise.
 
     A JSON boolean is not a number, though Python's bool converts to one.
+    An integer must not exceed MAX_INTEGER in magnitude; its message gives
+    the value to six digits, however many it has.
     """
     try:
         out = kind(value)
-        if not isinstance(value, bool) and math.isfinite(out) and (kind is not int or float(value) == out):
-            return out
+        ok = not isinstance(value, bool) and math.isfinite(out) and (kind is not int or float(value) == out)
     except (TypeError, ValueError, OverflowError):
-        pass
+        ok = False
+    if ok and kind is int and abs(out) > MAX_INTEGER:
+        raise ConfigError(f"{name} must be an integer of magnitude at most 2^53, got {out:.6g}")
+    if ok:
+        return out
     noun = "integer" if kind is int else "number"
+    if isinstance(value, int) and not isinstance(value, bool):
+        # beyond the float range, so too long to print and not finite as a float
+        raise ConfigError(f"{name} must be a finite {noun}, got an integer of {len(str(abs(value)))} digits")
     raise ConfigError(f"{name} must be a finite {noun}, got {value!r}")
+
+
+def _ceiling(count: int, limit: int, what: str) -> None:
+    """Reject a count above its ceiling before anything of that size is allocated."""
+    if count > limit:
+        raise ConfigError(f"{what} is {count:.6g}, beyond the ceiling of {limit}")
 
 
 def _path(where: str, key: str) -> str:
@@ -188,11 +216,12 @@ def _parse(raw: dict) -> RunConfig:
 
     gsec = _section(raw, "grid", _GRID_KEYS)
     csec = _section(raw, "coordinate_grid", _CGRID_KEYS)
-    grid = PhaseSpaceGrid.centered(
-        _number(gsec, "x_max", "grid", 8.0), _number(gsec, "k_max", "grid", 8.0),
-        _number(gsec, "n_x", "grid", 256, int), _number(gsec, "n_k", "grid", 256, int),
-    )
-    cgrid = CoordinateGrid(_number(csec, "x_max", "coordinate_grid", 16.0), _number(csec, "n", "coordinate_grid", 2048, int))
+    n_x, n_k = _number(gsec, "n_x", "grid", 256, int), _number(gsec, "n_k", "grid", 256, int)
+    _ceiling(abs(n_x * n_k), MAX_PHASE_NODES, "grid.n_x * grid.n_k")
+    grid = PhaseSpaceGrid.centered(_number(gsec, "x_max", "grid", 8.0), _number(gsec, "k_max", "grid", 8.0), n_x, n_k)
+    n_c = _number(csec, "n", "coordinate_grid", 2048, int)
+    _ceiling(n_c, MAX_COORDINATE_NODES, "coordinate_grid.n")
+    cgrid = CoordinateGrid(_number(csec, "x_max", "coordinate_grid", 16.0), n_c)
 
     nu_max = _number(raw, "nu_max", "top level", DEFAULT_NU_MAX, int)
     require_nu_max(nu_max)
@@ -222,6 +251,7 @@ def _parse(raw: dict) -> RunConfig:
         k0 = umap.k_from_p(_number(units, "p0", "units", umap.p_from_k(k0)))
     orbit_dtau = _number(osec, "dtau", "orbit", 1e-4)  # validated only: the orbit has no time step
     orbit_samples = _number(osec, "samples", "orbit", 4096, int)
+    _ceiling(orbit_samples, MAX_ORBIT_SAMPLES, "orbit.samples")
     orbit_tau_limit = _number(osec, "tau_limit", "orbit", 1e3)
     if orbit_dtau <= 0 or orbit_samples < 16 or orbit_tau_limit <= 0:
         raise ConfigError("orbit dtau, samples and tau_limit must be positive (samples >= 16)")
@@ -248,6 +278,7 @@ def _parse(raw: dict) -> RunConfig:
     acc = _section(raw, "accumulation", _ACC_KEYS)
     accumulate = _flag(acc, "enabled", "accumulation")
     acc_nodes = _number(acc, "time_nodes", "accumulation", 32, int)
+    _ceiling(acc_nodes, MAX_TIME_NODES, "accumulation.time_nodes")
     acc_dtau = _number(acc, "dtau", "accumulation", dtau)  # validated only, as dtau
     if accumulate and (acc_nodes < 4 or acc_dtau <= 0):
         raise ConfigError("accumulation needs time_nodes >= 4 and a positive dtau")
@@ -390,7 +421,8 @@ def run(config: RunConfig, out_dir: str | Path, emit_fields: bool = False, quiet
         with _stage("states.propagator"):
             phi = propagator.state(t)
         with _stage("states.wigner_transform"):
-            w = wigner_transform(phi, config.grid)
+            # the field window alone, unless the whole grid is written out
+            w = wigner_transform(phi, config.grid) if emit else fx.field_transform(phi, region)
         with _stage("fluxes.instantaneous"):
             blk = fx.instantaneous_block(
                 w, region, config.potential, config.nu_max, config.beta_list,

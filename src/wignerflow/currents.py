@@ -18,9 +18,10 @@ the classical part -u'(x) of w_k does not depend on k, so
 
 two k-derivatives and none along x.  div_w evaluates it on a rectangle
 of nodes, the one a volume correction reads: both derivatives run along
-the rectangle's x-rows over the whole k axis, so each node gets its
-whole-grid value.  continuity_residual alone assembles the full J, as the
-check of the series against the Schrodinger dynamics.
+the rectangle's x-rows over the field's whole k axis, so each node gets
+the value it has on the field's grid.  continuity_residual alone
+assembles the full J, as the check of the series against the
+Schrodinger dynamics.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ def delta_current(w: WignerField, potential: PotentialModel, nu_max: int) -> np.
 
 
 def _mask_epsilon(w: WignerField, epsilon: float | None) -> float:
+    """The |W| floor of the quotient: epsilon, or MASK_EPS_REL of max|W| over every node w holds.
+
+    A snapshot passes W on its region's field grid, so the maximum is read
+    on the field window, not on the whole grid.
+    """
     if epsilon is None:
         return MASK_EPS_REL * float(np.max(np.abs(w.values)))
     if epsilon <= 0:
@@ -99,16 +105,17 @@ def div_w(
 ) -> MaskedField:
     """Divergence of the phase velocity, (W d_k Delta J_k - Delta J_k d_k W) / W^2, on a rectangle of nodes.
 
-    dj_k is delta_current's Delta J_k of w on the whole grid.  The quotient
-    measures the departure from Liouvillian flow; nodes with |W| below the
-    mask threshold (relative to max|W| over the whole grid) are excluded.
-    window is the rectangle, an index slice along x and one along k (the
-    whole grid by default).  Both k-derivatives are taken on its x-rows
-    over the whole k axis, so each value equals that node's whole-grid
-    value bit for bit.  values and valid have the window's shape.
+    dj_k is delta_current's Delta J_k of w on w's grid, a configured grid
+    or a cut of one.  The quotient measures the departure from Liouvillian
+    flow; nodes with |W| below the mask threshold (see _mask_epsilon) are
+    excluded.  window is the rectangle, an index slice along x and one
+    along k of the configured grid's nodes, inside w's (w's whole grid by
+    default).  Both k-derivatives are taken on its x-rows over w's whole k
+    axis, so each value equals that node's value on w's grid bit for bit.
+    values and valid have the window's shape.
     """
     eps = _mask_epsilon(w, epsilon)
-    rows, cols = window or (slice(None), slice(None))
+    rows, cols = w.grid.local(window) if window else (slice(None), slice(None))
     d_dj, d_w = (partial_derivative(w.grid, f[rows], "k")[:, cols] for f in (dj_k, w.values))
     dj, wv = dj_k[rows, cols], w.values[rows, cols]
     valid = np.abs(wv) > eps

@@ -21,27 +21,37 @@ row's domain rule says where its weight is defined: ln|W| and a power
 with beta < 1 need |W| > epsilon, a fractional power needs W >= 0 above
 the floor.  The loop form, its per-point form in period_accumulation and
 the volume term all read that rule from the row.  Each row also defines
-its whole-grid total, Quantity.total = factor * int density(W) dV (the
+its total over W's grid, Quantity.total = factor * int density(W) dV (the
 purity, the entropy -int W ln|W| in nats, renyi_entropy's integral).
 
 An OrbitRegion is built once per orbit and grid, and every snapshot
 reads its orbit, its grid and its spline sampling plan from it: the
-region is the one way they reach a snapshot.  A Snapshot evaluates one
-Wigner field on that grid once: Delta J_k (straight from the nu >= 1
-series; no full current J is built), div(w) = d_k(Delta J_k / W) (two
-k-derivatives, none along x), one bicubic spline of W (spline.GridSpline,
-sampled on the orbit and at the region's quadrature nodes) and one of
-Delta J_k (sampled on the orbit) at most once each, and every loop flux,
-volume term and region quantity of that snapshot is read from those
-samples.  The region's SamplingPlan holds the node span both splines are
-fitted on, the axes' slope operators that fit them, and the cell and
-Hermite weights of every orbit sample and quadrature node.  Region
-quantities integrate over the orbit's own boundary by Green's theorem,
-with no lattice and no staircase.  Volume corrections are evaluated on
-the region's window, the bounding box of the orbit interior's nodes
-(about 1 % of the grid): the W**p weight, the integrand and its
-quadrature never touch a node outside it, and div(w) differentiates only
-the window's x-rows.
+region is the one way they reach a snapshot.  The region's field window
+is the rectangle of nodes a snapshot reads: the plan's node span and the
+volume window, widened by FIELD_REACH nodes per side (about 11 % of a
+256 x 256 grid).  A snapshot's fields live on the grid cut to it (the
+region's field_grid): the run transforms W on that cut alone, and a W
+given on the whole grid is read through a view of the cut.  A Snapshot
+evaluates one Wigner field on that cut once: Delta J_k (straight from the
+nu >= 1 series; no full current J is built), div(w) = d_k(Delta J_k / W)
+(two k-derivatives, none along x), one bicubic spline of W
+(spline.GridSpline, sampled on the orbit and at the region's quadrature
+nodes) and one of Delta J_k (sampled on the orbit) at most once each, and
+every loop flux, volume term and region quantity of that snapshot is read
+from those samples.  The region's SamplingPlan holds the node span both
+splines are fitted on, the axes' slope operators that fit them, and the
+cell and Hermite weights of every orbit sample and quadrature node.  The
+not-a-knot slope operator decays like 0.268^d with the distance d in
+nodes, so the nodes beyond FIELD_REACH move a fit by less than 1e-16 of
+max|W|, and the stencils' zero extension at the cut's edges moves Delta
+J_k's orbit samples by as little.  Region quantities integrate over the
+orbit's own boundary by Green's theorem, with no lattice and no
+staircase.  Volume corrections are evaluated on the region's window, the
+bounding box of the orbit interior's nodes (about 1 % of the grid): the
+W**p weight, the integrand and its quadrature never touch a node outside
+it, and div(w) differentiates only the window's x-rows.  Whether a
+fractional row's W**beta is defined is decided on every node W is given
+on: the field window on a run.
 
 Snapshot.quantities is the one read of every row's region quantity: a
 value, or the row's RejectionError where the quantity is undefined.  The
@@ -70,13 +80,17 @@ from .errors import RejectionError
 from .classical import ClassicalOrbit
 from .grid import PhaseSpaceGrid, integrate_volume
 from .potentials import PotentialModel
-from .spline import GridSpline, SamplingPlan
-from .states import CAPTURE_LIMIT, EigenPropagator, WignerField, wigner_transform
+from .spline import GridSpline, SamplingPlan, node_span
+from .states import CAPTURE_LIMIT, EigenPropagator, Wavefunction, WignerField, wigner_transform
 
 #: Fewest orbit samples in the loop rule of OrbitRegion's region quadrature (all of them if fewer).
 REGION_LOOP_SAMPLES = 256
 #: Gauss-Legendre nodes in x per loop sample of OrbitRegion's region quadrature.
 REGION_GAUSS_NODES = 16
+#: Nodes per side by which a region's field window reaches beyond the nodes
+#: it reads: the not-a-knot slope operator decays like 0.268^d, so a node
+#: 28 away moves a spline fit by less than 1e-16 of the field.
+FIELD_REACH = 28
 #: Default magnitude floor below which nodes drop out of entropy quadratures.
 ENTROPY_FLOOR = 1e-30
 #: Weyl normalisation of the purity, PURITY_FACTOR * int W^2.
@@ -183,7 +197,7 @@ class Quantity:
         return negative, small
 
     def total(self, w: WignerField, floor: float = ENTROPY_FLOOR) -> float:
-        """The row's whole-grid quantity, factor * int density(W) dV: purity 1 for a pure state."""
+        """The row's quantity over W's grid, factor * int density(W) dV: purity 1 for a pure state on a whole grid."""
         self.check(floor)
         return self.factor * integrate_volume(w.grid, self.density(w.values, floor))
 
@@ -278,10 +292,12 @@ class OrbitRegion:
     outside the window.
 
     The region holds everything of a snapshot that depends on the orbit and
-    the grid alone: the orbit, the grid, window and inside, the quadrature
-    nodes and weights, and plan, the spline.SamplingPlan of the orbit
-    samples ("orbit") and the quadrature nodes ("nodes"), built on first
-    use and shared by every snapshot on the region.
+    the grid alone: the orbit, the grid, window and inside (index slices
+    and a mask of the grid's own nodes), the quadrature nodes and weights,
+    field_grid, the grid cut to the field window, and plan, the
+    spline.SamplingPlan of the orbit samples ("orbit") and the quadrature
+    nodes ("nodes") on field_grid.  Both are built on first use and shared
+    by every snapshot on the region.
     """
 
     def __init__(self, orbit: ClassicalOrbit, grid: PhaseSpaceGrid) -> None:
@@ -308,9 +324,33 @@ class OrbitRegion:
         self.weights = (np.sign(np.sum(x * dk)) * np.outer(half * dk, gauss)).ravel()
 
     @cached_property
+    def field_grid(self) -> PhaseSpaceGrid:
+        """The grid cut to the field window: the nodes every snapshot's fields live on.
+
+        The field window is the nodes bounding every cell that holds an
+        orbit sample or a quadrature node, and the volume window, widened
+        by FIELD_REACH nodes per side and clipped to the grid; its k-range
+        is then made symmetric about k = 0, as the transform's k-parity
+        mirror needs.  The whole grid gives the grid itself.
+        """
+        grid, reach = self.grid, FIELD_REACH
+        spans = []
+        for points, nodes, h, n, window in (
+            ((self.orbit.x, self.nodes[0]), grid.x, grid.h_x, grid.n_x, self.window[0]),
+            ((self.orbit.k, self.nodes[1]), grid.k, grid.h_k, grid.n_k, self.window[1]),
+        ):
+            span = node_span(np.concatenate(points), nodes, h)
+            if window.stop > window.start:
+                span = slice(min(span.start, window.start), max(span.stop, window.stop))
+            spans.append((max(span.start - reach, 0), min(span.stop + reach, n)))
+        (top, bottom), (left, right) = spans
+        left, right = min(left, grid.n_k - right), max(right, grid.n_k - left)
+        return grid.cut(slice(top, bottom), slice(left, right))
+
+    @cached_property
     def plan(self) -> SamplingPlan:
         """Where every snapshot's splines are fitted and sampled: at the orbit samples and the nodes."""
-        return SamplingPlan(self.grid, orbit=(self.orbit.x, self.orbit.k), nodes=self.nodes)
+        return SamplingPlan(self.field_grid, orbit=(self.orbit.x, self.orbit.k), nodes=self.nodes)
 
     def integral(self, values: np.ndarray) -> float:
         """Integral over the enclosed region of a density sampled at the nodes."""
@@ -321,14 +361,17 @@ class OrbitRegion:
 class Snapshot:
     """One Wigner snapshot on an orbit region and its derived fields, each computed at most once.
 
-    The region gives the orbit, the grid (the field must lie on it) and the
-    sampling plan of both splines.  The orbit is checked to lie two cells
-    inside the grid.  Fields are lazy: region quantities never sum the
-    current series; loop fluxes need the potential and read Delta J_k, the
-    only part of the current a snapshot builds; volume terms need the
-    potential and read div(w) = d_k(Delta J_k / W), computed once on the
-    region's window from Delta J_k and W alone.  A snapshot holds several
-    grid-sized arrays, so keep it no longer than its time node.
+    The region gives the orbit, the grid and the sampling plan of both
+    splines.  W lies on the region's grid or on its field_grid, and every
+    derived field is evaluated on field_grid: a W on the whole grid is read
+    through a view of its field window, so both give the same values.  The
+    orbit is checked to lie two cells inside the grid.  Fields are lazy:
+    region quantities never sum the current series; loop fluxes need the
+    potential and read Delta J_k, the only part of the current a snapshot
+    builds; volume terms need the potential and read div(w) =
+    d_k(Delta J_k / W), computed once on the region's window from
+    Delta J_k and W alone.  A snapshot holds several field-sized arrays,
+    so keep it no longer than its time node.
     """
 
     w: WignerField
@@ -341,8 +384,8 @@ class Snapshot:
     epsilon_entropy: float = ENTROPY_FLOOR
 
     def __post_init__(self) -> None:
-        grid, orbit = self.w.grid, self.orbit
-        if grid != self.region.grid:
+        grid, orbit = self.region.grid, self.orbit
+        if self.w.grid not in (grid, self.region.field_grid):
             raise RejectionError("the field's grid is not the orbit region's grid")
         if (
             np.min(orbit.x) < grid.x_min + 2 * grid.h_x
@@ -358,19 +401,25 @@ class Snapshot:
         return self.region.orbit
 
     @cached_property
+    def field(self) -> WignerField:
+        """W on the region's field grid: w itself, or a view of w's nodes there."""
+        cut, w = self.region.field_grid, self.w
+        return w if w.grid == cut else WignerField(w.values[cut.window], cut, w.tau, w.norm)
+
+    @cached_property
     def dj_k(self) -> np.ndarray:
-        """Delta J_k on the grid, summed from the nu >= 1 series."""
-        return delta_current(self.w, self.potential, self.nu_max)
+        """Delta J_k on the field grid, summed from the nu >= 1 series."""
+        return delta_current(self.field, self.potential, self.nu_max)
 
     @cached_property
     def div(self) -> MaskedField:
         """div(w) = d_k(Delta J_k / W) on the region's window."""
-        return div_w(self.w, self.dj_k, self.epsilon_mask, self.region.window)
+        return div_w(self.field, self.dj_k, self.epsilon_mask, self.region.window)
 
     @cached_property
     def w_spline(self) -> GridSpline:
         """W's spline, fitted on the region's plan."""
-        return GridSpline(self.w.values, self.region.plan)
+        return GridSpline(self.field.values, self.region.plan)
 
     @cached_property
     def w_on(self) -> np.ndarray:
@@ -392,7 +441,7 @@ class Snapshot:
         epsilon = self.epsilon_entropy
         q.check(epsilon)
         if q.scale_sensitive:
-            total = self.w.total()
+            total = self.w.scale()
             if abs(total - 1.0) > CAPTURE_LIMIT:
                 warnings.warn(
                     f"{q.name} loop flux on an unnormalized field (integral {total:.6g}): "
@@ -420,17 +469,18 @@ class Snapshot:
         quadrature read no node outside it.  Nodes where the phase-velocity
         quotient is masked contribute zero; returns the value and their
         count within the interior.  A fractional row is rejected when W has
-        negative nodes above the floor anywhere on the grid.
+        negative nodes above the floor anywhere W is given: on a run, the
+        field window.
         """
         window, inside, dv, floor = self.region.window, self.region.inside, self.div, self.epsilon_entropy
         if q.fractional:
-            # whether W**beta is defined is decided on the whole grid
+            # whether W**beta is defined is decided on every node W is given on
             require_power_domain(self.w.values, q.beta, floor)
         _, p = q.volume
-        integrand = p(self.w.values[window], floor) * dv.values
+        integrand = p(self.field.values[self.field.grid.local(window)], floor) * dv.values
         keep = dv.valid & inside
         masked = int(np.count_nonzero(inside)) - int(np.count_nonzero(keep))
-        return integrate_volume(self.w.grid, integrand, mask=keep, window=window), masked
+        return integrate_volume(self.region.grid, integrand, mask=keep, window=window), masked
 
     def quantity(self, q: Quantity) -> float:
         """Region quantity of one row: factor * int density(W) over the orbit interior."""
@@ -493,6 +543,11 @@ class Snapshot:
         return block
 
 
+def field_transform(phi: Wavefunction, region: OrbitRegion) -> WignerField:
+    """W of a state on the region's field grid: the transform of the field window alone."""
+    return wigner_transform(phi, region.grid, region.field_grid.window)
+
+
 def oracle_times(tau: float, dtau_fd: float) -> tuple[float, float]:
     """The two times, tau - dtau_fd and tau + dtau_fd, that the oracle central-differences.
 
@@ -518,7 +573,7 @@ def oracle_rates(
     """Independent instantaneous rate of every row's region quantity at tau, keyed by Quantity.key.
 
     Takes the states at oracle_times(tau, dtau_fd) from the propagator,
-    builds W at both on the region's grid and central-differences their
+    builds W at both on the region's field grid and central-differences their
     Snapshot.quantities reads (sigma, svn, purity as 2 pi int W^2, the
     Renyi power integrals).  A row whose quantity is undefined at either
     gets the first RejectionError as value.
@@ -527,7 +582,7 @@ def oracle_rates(
         raise RejectionError(f"dtau_fd must be positive and finite, got {dtau_fd}")
     rows = quantities(betas)
     before, after = (
-        Snapshot(wigner_transform(propagator.state(t), region.grid), region, epsilon_entropy=floor).quantities(rows)
+        Snapshot(field_transform(propagator.state(t), region), region, epsilon_entropy=floor).quantities(rows)
         for t in oracle_times(tau, dtau_fd)
     )
     return _change(before, after, 2.0 * dtau_fd)
@@ -631,8 +686,8 @@ def period_accumulation(
 
     The state at each of the n_nodes + 1 equally spaced nodes tau_j on
     [0, T] comes from the propagator, the run's one eigen expansion, under
-    whose potential the snapshots are evaluated on the region's grid, with
-    the same floors as instantaneous_block; each state is dropped
+    whose potential the snapshots are evaluated on the region's field grid,
+    with the same floors as instantaneous_block; each state is dropped
     once its snapshot is.
 
     Once nodal lines of W enter the region, the svn volume integrand
@@ -649,7 +704,7 @@ def period_accumulation(
     for j, tau_j in enumerate(taus):
         phi = propagator.state(tau_j)
         snap = Snapshot(
-            wigner_transform(phi, region.grid), region, propagator.potential, nu_max, epsilon_mask, epsilon_entropy
+            field_transform(phi, region), region, propagator.potential, nu_max, epsilon_mask, epsilon_entropy
         )
         blocks.append(snap.block(betas))
         # Diagonal (time-consistent) form: the orbit sample nearest tau_j.

@@ -8,11 +8,17 @@ extension for the Gaussian-enveloped states this package works with.
 A derivative can be taken on a band of lines that spans the differentiated
 axis, and a quadrature summed over a rectangle of nodes; the nodes they
 cover get the whole grid's values.
+
+A configured grid can be cut to a rectangle of its nodes
+(PhaseSpaceGrid.cut): the cut is a grid of its own whose nodes, spacings
+and quadrature weights are the configured grid's, so a field on the cut
+is the configured field's restriction.  Node windows are index slices of
+the configured grid, and PhaseSpaceGrid.local maps one onto a cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,12 +34,12 @@ MAX_DERIVATIVE_ORDER = 6
 STENCIL_ACCURACY = 4
 
 
-def _validate_axis_extent(name: str, lo: float, hi: float, n: int) -> None:
+def _validate_axis_extent(name: str, lo: float, hi: float, n: int, symmetric: bool = True) -> None:
     if n < 16:
         raise RejectionError(f"{name}: need at least 16 nodes, got {n}")
     if not hi > lo:
         raise RejectionError(f"{name}: empty extent [{lo}, {hi}]")
-    if abs(lo + hi) > 1e-12 * max(abs(lo), abs(hi)):
+    if symmetric and abs(lo + hi) > 1e-12 * max(abs(lo), abs(hi)):
         raise RejectionError(
             f"{name}: grid must be symmetric about the origin, got [{lo}, {hi}]"
         )
@@ -41,7 +47,12 @@ def _validate_axis_extent(name: str, lo: float, hi: float, n: int) -> None:
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Uniform node-centered discretization of the dimensionless (x, k) plane."""
+    """Uniform node-centered discretization of the dimensionless (x, k) plane.
+
+    A configured grid is symmetric about the origin.  A cut (see cut) is
+    the rectangle of a configured grid's nodes that starts at index origin
+    along x and k; full is that configured grid, None for a configured one.
+    """
 
     x_min: float
     x_max: float
@@ -49,30 +60,42 @@ class PhaseSpaceGrid:
     k_max: float
     n_x: int
     n_k: int
+    full: PhaseSpaceGrid | None = field(default=None, repr=False)
+    origin: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        _validate_axis_extent("x axis", self.x_min, self.x_max, self.n_x)
-        _validate_axis_extent("k axis", self.k_min, self.k_max, self.n_k)
+        symmetric = self.full is None
+        _validate_axis_extent("x axis", self.x_min, self.x_max, self.n_x, symmetric)
+        _validate_axis_extent("k axis", self.k_min, self.k_max, self.n_k, symmetric)
 
     @classmethod
     def centered(cls, x_max: float, k_max: float, n_x: int, n_k: int) -> "PhaseSpaceGrid":
         return cls(-x_max, x_max, -k_max, k_max, n_x, n_k)
 
     @property
+    def configured(self) -> "PhaseSpaceGrid":
+        """The configured grid: full for a cut, else the grid itself."""
+        return self if self.full is None else self.full
+
+    @property
     def h_x(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_x - 1)
+        g = self.configured
+        return (g.x_max - g.x_min) / (g.n_x - 1)
 
     @property
     def h_k(self) -> float:
-        return (self.k_max - self.k_min) / (self.n_k - 1)
+        g = self.configured
+        return (g.k_max - g.k_min) / (g.n_k - 1)
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
+        g, i = self.configured, self.origin[0]
+        return np.linspace(g.x_min, g.x_max, g.n_x)[i : i + self.n_x]
 
     @property
     def k(self) -> np.ndarray:
-        return np.linspace(self.k_min, self.k_max, self.n_k)
+        g, j = self.configured, self.origin[1]
+        return np.linspace(g.k_min, g.k_max, g.n_k)[j : j + self.n_k]
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate matrices X, K of shape (n_x, n_k)."""
@@ -81,6 +104,32 @@ class PhaseSpaceGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_x, self.n_k)
+
+    @property
+    def window(self) -> tuple[slice, slice]:
+        """This grid's nodes as a window of the configured grid: index slices along x and k."""
+        (i, j) = self.origin
+        return slice(i, i + self.n_x), slice(j, j + self.n_k)
+
+    def cut(self, rows: slice, cols: slice) -> "PhaseSpaceGrid":
+        """The window rows x cols of this configured grid's nodes as a grid; the grid itself when it is all of them."""
+        if self.full is not None:
+            raise RejectionError("only a configured grid can be cut")
+        if not (0 <= rows.start < rows.stop <= self.n_x and 0 <= cols.start < cols.stop <= self.n_k):
+            raise RejectionError(f"window {(rows, cols)} is not a rectangle of the grid's {self.shape} nodes")
+        if (rows.start, rows.stop, cols.start, cols.stop) == (0, self.n_x, 0, self.n_k):
+            return self
+        x, k = self.x, self.k
+        return PhaseSpaceGrid(
+            float(x[rows.start]), float(x[rows.stop - 1]), float(k[cols.start]), float(k[cols.stop - 1]),
+            rows.stop - rows.start, cols.stop - cols.start, full=self, origin=(rows.start, cols.start),
+        )
+
+    def local(self, window: tuple[slice, slice]) -> tuple[slice, slice]:
+        """A window of the configured grid's nodes as index slices of this grid's nodes (empty stays empty)."""
+        return tuple(
+            slice(s.start - o, s.stop - o) if s.stop > s.start else slice(0, 0) for s, o in zip(window, self.origin)
+        )
 
 
 @dataclass(frozen=True)
@@ -140,10 +189,14 @@ class DimensionlessMap:
         return float(tau / self.omega)
 
 
-def _quadrature_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
+def _quadrature_weights(grid: PhaseSpaceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid weights of the configured grid's x and k nodes, cut to the grid's."""
+    out = []
+    for n, h, s in zip(grid.configured.shape, (grid.h_x, grid.h_k), grid.window):
+        w = np.full(n, h)
+        w[0] = w[-1] = 0.5 * h
+        out.append(w[s])
+    return out[0], out[1]
 
 
 def integrate_volume(
@@ -154,6 +207,7 @@ def integrate_volume(
     Parameters
     ----------
     grid : PhaseSpaceGrid
+        A cut's nodes keep the trapezoid weights they have on the configured grid.
     values : ndarray
         Field samples on the window (the whole grid by default); must be
         finite at every node.
@@ -170,8 +224,7 @@ def integrate_volume(
     """
     values = np.asarray(values)
     rows, cols = window or (slice(0, grid.n_x), slice(0, grid.n_k))
-    wx = _quadrature_weights(grid.n_x, grid.h_x)[rows]
-    wk = _quadrature_weights(grid.n_k, grid.h_k)[cols]
+    wx, wk = (w[s] for w, s in zip(_quadrature_weights(grid), (rows, cols)))
     if values.shape != (wx.size, wk.size):
         where = f"grid {grid.shape}" if window is None else f"the window {window}"
         raise RejectionError(f"field shape {values.shape} does not match {where}")

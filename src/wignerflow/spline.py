@@ -172,7 +172,7 @@ def _hermite_weights(u: np.ndarray) -> np.ndarray:
     return np.stack([(1.0 + 2.0 * u) * v * v, u * v * v, u * u * (3.0 - 2.0 * u), -u * u * v], axis=-1)
 
 
-def _node_span(points: np.ndarray, nodes: np.ndarray, h: float) -> slice:
+def node_span(points: np.ndarray, nodes: np.ndarray, h: float) -> slice:
     """Nodes bounding every cell that holds one of the points."""
     lo, hi = np.floor((np.array([np.min(points), np.max(points)]) - nodes[0]) / h)
     lo, hi = (int(np.clip(c, 0, nodes.size - 2)) for c in (lo, hi))
@@ -206,8 +206,8 @@ class SamplingPlan:
         self.grid = grid
         if points:
             xs, ks = (np.concatenate(axis) for axis in zip(*points.values()))
-            self.rows = _node_span(xs, grid.x, grid.h_x)
-            self.cols = _node_span(ks, grid.k, grid.h_k)
+            self.rows = node_span(xs, grid.x, grid.h_x)
+            self.cols = node_span(ks, grid.k, grid.h_k)
         else:
             self.rows, self.cols = slice(0, grid.n_x), slice(0, grid.n_k)
         self.s_x = slope_operator(grid.n_x, grid.h_x)

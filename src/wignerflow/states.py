@@ -16,8 +16,13 @@ construction.  Its y-lattice has the coordinate spacing, so each row of
 W samples the wavefunction's not-a-knot cubic spline (spline.pieces) at
 one offset from the nodes: the samples are read from a per-row table of
 the spline pieces by index, and a sample outside the coordinate grid is
-zero by index.  A capture guard compares int W dV with the wavefunction
-norm and rejects a phase-space grid too small for the state.
+zero by index.  The transform can fill a window of the phase-space grid,
+a rectangle of its rows with a k-range symmetric about 0, and returns W
+on that cut of the grid: every node of it equals the whole-grid W's bit
+for bit.  A capture guard, computed from phi and not from W, rejects a
+phase-space grid too small for the state: capture_defect is the part of
+the norm that lies beyond the configured grid's x_max (the x-tail) or
+beyond its k_max (the k-tail), whatever window is filled.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .spline import pieces as spline_pieces
 #: Largest |phi| tolerated at the coordinate-grid boundary.
 BOUNDARY_ENVELOPE = 1e-12
 
-#: Largest |int W dV - ||phi||^2| tolerated: the part of the state's norm
-#: that the phase-space grid fails to capture.
+#: Largest capture defect tolerated: the part of the state's norm that
+#: lies outside the phase-space grid (see capture_defect).
 CAPTURE_LIMIT = 1e-2
 
 #: Norm drift that makes the split-step propagator reject its own output.
@@ -56,6 +61,12 @@ _START_STRIDE = 4
 #: Rows of W built per block of the transform; bounds its sample table.
 _TRANSFORM_ROWS = 32
 
+#: k >= 0 columns of W per block of the transform's kernel products.  Rows
+#: and columns run over a fixed lattice of blocks, so every node of W comes
+#: from the same products, with the same operands and shapes, whichever
+#: window is filled: a BLAS product's summation order depends on its shapes.
+_TRANSFORM_COLS = 16
+
 
 @dataclass
 class Wavefunction:
@@ -72,15 +83,18 @@ class Wavefunction:
 
 @dataclass
 class WignerField:
-    """Real scalar field W(x, k; tau) on a phase-space grid.
+    """Real scalar field W(x, k; tau) on a phase-space grid or a cut of one.
 
     The values are not modified after construction: total() is computed
-    once and kept.
+    once and kept.  norm is ||phi||^2 of the state the transform built W
+    from, which is int W over the whole phase plane; None for a field
+    built from values.
     """
 
     values: np.ndarray
     grid: PhaseSpaceGrid
     tau: float = 0.0
+    norm: float | None = None
     _total: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -93,10 +107,14 @@ class WignerField:
             raise RejectionError("Wigner field contains non-finite values")
 
     def total(self) -> float:
-        """Quadrature of W over the full grid (1 for a normalized state), computed once per field."""
+        """Quadrature of W over its grid (1 for a normalized state on a whole grid), computed once per field."""
         if self._total is None:
             self._total = integrate_volume(self.grid, self.values)
         return self._total
+
+    def scale(self) -> float:
+        """int W over the whole phase plane: the state's norm, or total() for a field built from values."""
+        return self.total() if self.norm is None else self.norm
 
 
 @dataclass(frozen=True)
@@ -201,24 +219,62 @@ def evaluate_state(spec: StateSpec, grid: CoordinateGrid, tau: float = 0.0) -> W
 
 
 @lru_cache(maxsize=8)
-def _half_range_kernel(cgrid: CoordinateGrid, grid: PhaseSpaceGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel halves w'_y cos 2ky / pi and w'_y sin 2ky / pi, k >= 0 only.
+def _half_range_kernel(cgrid: CoordinateGrid, grid: PhaseSpaceGrid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The kernel halves w'_y cos 2ky / pi and w'_y sin 2ky / pi, k >= 0 only, in column blocks.
 
     Rows are the y nodes and columns the k >= 0 half, grid.k[n_k // 2:], of
-    the k axis.  The y-lattice is the coordinate-grid spacing out to
-    m = floor(x_max / 2h) nodes, half the coordinate half-range; folding the
-    symmetric lattice onto y >= 0 doubles every trapezoid weight except the
-    one at y = 0.  The arrays are shared between calls and read-only.
+    the k axis, cut into contiguous blocks of _TRANSFORM_COLS columns: one
+    (cos, sin) pair per block.  The y-lattice is the coordinate-grid
+    spacing out to m = floor(x_max / 2h) nodes, half the coordinate
+    half-range; folding the symmetric lattice onto y >= 0 doubles every
+    trapezoid weight except the one at y = 0.  The arrays are shared
+    between calls and read-only.
     """
+    y, wy = _half_lattice(cgrid)
+    phase = 2.0 * np.outer(y, grid.k[grid.n_k // 2 :])
+    halves = np.cos(phase) * (wy[:, None] / np.pi), np.sin(phase) * (wy[:, None] / np.pi)
+    blocks = []
+    for start in range(0, phase.shape[1], _TRANSFORM_COLS):
+        pair = tuple(np.ascontiguousarray(half[:, start : start + _TRANSFORM_COLS]) for half in halves)
+        for half in pair:
+            half.setflags(write=False)
+        blocks.append(pair)
+    return tuple(blocks)
+
+
+def _half_lattice(cgrid: CoordinateGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The transform's y >= 0 nodes j h, j = 0 .. floor(x_max / 2h), and their folded trapezoid weights."""
     m = int(np.floor(0.5 * cgrid.x_max / cgrid.h))
     y = np.arange(m + 1) * cgrid.h
     wy = np.full(y.size, 2.0 * cgrid.h)
     wy[0] = wy[-1] = cgrid.h
-    phase = 2.0 * np.outer(y, grid.k[grid.n_k // 2 :])
-    halves = np.cos(phase) * (wy[:, None] / np.pi), np.sin(phase) * (wy[:, None] / np.pi)
-    for half in halves:
-        half.setflags(write=False)
-    return halves
+    return y, wy
+
+
+def capture_defect(phi: Wavefunction, grid: PhaseSpaceGrid) -> tuple[float, float]:
+    """The x-tail and k-tail of ||phi||^2: the norm beyond the grid's x_max and beyond its k_max.
+
+    The x-tail is the trapezoid of |phi|^2 over |x| > x_max.  The k-tail is
+    ||phi||^2 less int_{|k| <= K} int W dx dk, with K = k_max, which the
+    transform's own y-quadrature gives in closed form over k:
+
+        pi^-1 sum_{y >= 0} w'_y Re R(y) sin(2Ky) / y,   R(y) = h sum_a phi_a phi*_{a + 2y/h},
+
+    with 2K for sin(2Ky) / y at y = 0.  R is the autocorrelation of the
+    samples at even lags, from one zero-padded FFT.  Both tails are read on
+    the configured grid, whatever window of it a transform fills.
+    """
+    cgrid, grid = phi.grid, grid.configured
+    density = np.abs(phi.values) ** 2
+    x_tail = float(np.trapezoid(np.where(np.abs(cgrid.x) > grid.x_max, density, 0.0), dx=cgrid.h))
+    y, wy = _half_lattice(cgrid)
+    spectrum = np.fft.fft(phi.values, 2 * cgrid.n)
+    lags = np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[: 2 * y.size : 2].real * cgrid.h
+    k_max = 0.5 * (grid.k_max - grid.k_min)
+    sinc = np.empty(y.size)
+    sinc[0] = 2.0 * k_max
+    sinc[1:] = np.sin(2.0 * k_max * y[1:]) / y[1:]
+    return x_tail, phi.norm() - float(np.sum(wy * lags * sinc)) / np.pi
 
 
 def _lattice_offsets(cgrid: CoordinateGrid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +297,9 @@ def _pieces_read(s: np.ndarray, m: int, n: int) -> tuple[int, int]:
     return max(int(s.min()) - m, 0), min(int(s.max()) + m + 1, n - 1)
 
 
-def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
+def wigner_transform(
+    phi: Wavefunction, grid: PhaseSpaceGrid, window: tuple[slice, slice] | None = None
+) -> WignerField:
     """Build W(x, k) from wavefunction samples by direct y-quadrature.
 
     W(x, k) = pi^-1 int e^{2iky} f(x, y) dy with f(x, y) = phi(x-y) phi*(x+y),
@@ -267,9 +325,18 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     a pad, so phi is zero there by index; a sample exactly on the last node
     (t_i = 0) reads that node's value, as the spline does.
 
+    window, a pair of index slices of the grid's rows and k columns with
+    a k-range symmetric about the axis' centre, restricts W to that cut of
+    the grid (grid.cut), the whole grid by default.  Only the blocks of
+    _TRANSFORM_ROWS rows and of _TRANSFORM_COLS k >= 0 columns that meet
+    the window are computed, on a lattice fixed by the grid, so the cut of
+    the whole-grid W and the windowed W are equal bit for bit.
+
     W is real by construction, so no imaginary residue is left to check.
     Instead, the transform is rejected when the grid misses part of the
-    state: when |int W dV - ||phi||^2| exceeds CAPTURE_LIMIT.
+    state: when the capture defect, the x-tail plus the k-tail of
+    capture_defect on the configured grid, exceeds CAPTURE_LIMIT.  It reads
+    phi alone, so a window never counts the state outside it as missed.
     """
     cgrid = phi.grid
     if cgrid.h > grid.h_x * (1 + 1e-9):
@@ -280,41 +347,59 @@ def wigner_transform(phi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         raise RejectionError(
             f"coordinate grid extent {cgrid.x_max} does not cover the phase-space x axis {grid.x_max}"
         )
-    cos_half, sin_half = _half_range_kernel(cgrid, grid)
-    m = cos_half.shape[0] - 1
-    n_neg = grid.n_k // 2
-    skip = cos_half.shape[1] - n_neg  # an odd n_k's k = 0 column has no mirror
+    rows, cols = window or (slice(0, grid.n_x), slice(0, grid.n_k))
+    if cols.start + cols.stop != grid.n_k:
+        raise RejectionError(f"the window's k columns {cols.start}:{cols.stop} are not symmetric about k = 0")
+    cut = grid.cut(rows, cols)
+    x_tail, k_tail = capture_defect(phi, grid)
+    defect = x_tail + k_tail
+    if not abs(defect) <= CAPTURE_LIMIT:
+        raise RejectionError(
+            f"grid capture defect = {defect:.3e} (x-tail {x_tail:.3e}, k-tail {k_tail:.3e}) exceeds "
+            f"{CAPTURE_LIMIT:.0e}; the phase-space grid misses part of the state"
+        )
+    zero = grid.n_k // 2  # the first k >= 0 column
+    kernel = _half_range_kernel(cgrid, grid)[: -(-(cols.stop - zero) // _TRANSFORM_COLS)]
+    m = kernel[0][0].shape[0] - 1
+    n_pos, n_neg = cols.stop - zero, zero - cols.start  # the window's k >= 0 and k < 0 columns
     n = cgrid.n
     coeffs = np.ascontiguousarray(spline_pieces(phi.values, cgrid.h)).view(float)
     s, t = _lattice_offsets(cgrid, grid.x)
 
     # Table columns: m pads, the n - 1 cubic pieces, the last node, m pads.
-    table = np.zeros((_TRANSFORM_ROWS, n + 2 * m), dtype=complex)
+    # A row reads only the pads, the last node and the pieces its block
+    # tabulates, so only the pads need zeros.
+    table = np.empty((_TRANSFORM_ROWS, n + 2 * m), dtype=complex)
+    table[:, :m] = table[:, m + n :] = 0.0
     reals = table.view(float)
     windows = sliding_window_view(table, m + 1, axis=1)
-    f = np.empty((_TRANSFORM_ROWS, m + 1), dtype=complex)
-    values = np.empty(grid.shape)
-    for start in range(0, grid.n_x, _TRANSFORM_ROWS):
-        rows = slice(start, min(start + _TRANSFORM_ROWS, grid.n_x))
-        b = rows.stop - start
-        tb = t[rows]
-        lo, hi = _pieces_read(s[rows], m, n)
+    f = np.zeros((_TRANSFORM_ROWS, m + 1), dtype=complex)
+    even, odd = (np.empty((_TRANSFORM_ROWS, len(kernel) * _TRANSFORM_COLS)) for _ in range(2))
+    values = np.empty(cut.shape)
+    for start in range(rows.start - rows.start % _TRANSFORM_ROWS, rows.stop, _TRANSFORM_ROWS):
+        block = slice(start, min(start + _TRANSFORM_ROWS, grid.n_x))
+        b = block.stop - start
+        tb = t[block]
+        lo, hi = _pieces_read(s[block], m, n)
         np.matmul(tb[:, None] ** np.arange(3, -1, -1), coeffs[:, 2 * lo : 2 * hi], out=reals[:b, 2 * (m + lo) : 2 * (m + hi)])
         table[:b, m + n - 1] = np.where(tb == 0.0, phi.values[-1], 0.0)
-        i = np.arange(b)
-        plus = np.conj(windows[i, s[rows] + m])
-        np.multiply(windows[i, s[rows]][:, ::-1], plus, out=f[:b])
-        even, odd = f[:b].real @ cos_half, f[:b].imag @ sin_half
-        values[rows, n_neg:] = even - odd
-        values[rows, n_neg - 1 :: -1] = (even + odd)[:, skip:]
-    w = WignerField(values, grid, phi.tau)
-    defect = abs(w.total() - phi.norm())
-    if defect > CAPTURE_LIMIT:
-        raise RejectionError(
-            f"grid capture defect |int W dV - norm| = {defect:.3e} exceeds {CAPTURE_LIMIT:.0e}; "
-            "the phase-space grid misses part of the state"
-        )
-    return w
+        # f on the block's rows inside the window alone: a product's row
+        # reads its own row of f, so the other rows are left as they are
+        inside = slice(max(start, rows.start), min(block.stop, rows.stop))
+        keep = slice(inside.start - start, inside.stop - start)
+        i = np.arange(keep.start, keep.stop)
+        plus = np.conj(windows[i, s[inside] + m])
+        np.multiply(windows[i, s[inside]][:, ::-1], plus, out=f[keep])
+        for j, (cos_half, sin_half) in enumerate(kernel):
+            c = slice(j * _TRANSFORM_COLS, j * _TRANSFORM_COLS + cos_half.shape[1])
+            np.matmul(f[:b].real, cos_half, out=even[:b, c])
+            np.matmul(f[:b].imag, sin_half, out=odd[:b, c])
+        e, o = (a[keep, :n_pos] for a in (even, odd))
+        out = values[inside.start - rows.start : inside.stop - rows.start]
+        out[:, n_neg:] = e - o
+        # an odd n_k's k = 0 column has no mirror
+        out[:, :n_neg] = (e + o)[:, n_pos - n_neg :][:, ::-1]
+    return WignerField(values, cut, phi.tau, phi.norm())
 
 
 def evolve_wavefunction(

@@ -18,6 +18,9 @@ from wignerflow.classical import solve_orbit
 from wignerflow.cli import main, parse_config
 from wignerflow.states import evaluate_state, wigner_transform
 
+#: The benchmark's workload configurations.
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
 #: A small but complete run: 64^2 phase grid, 512-node coordinate grid.
 SMALL = {
     "potential": {"kind": "pure_quartic"},
@@ -50,6 +53,14 @@ MALFORMED = {
     "all-zero superposition": {"state": {"kind": "superposition", "terms": [{"re": 0.0, "n": 0}, {"n": 1}]}},
     "negative superposition index": {"state": {"kind": "superposition", "terms": [{"re": 1.0, "n": -1}]}},
     "superposition index beyond 512": {"state": {"kind": "superposition", "terms": [{"re": 1.0, "n": 513}]}},
+    # counts the parser rejects before anything of their size is allocated
+    "grid size of 1e300": {"grid": {"n_x": 1e300}},
+    "grid size beyond the float range": {"grid": {"n_x": 10**400}},
+    "superposition index of 1e300": {"state": {"kind": "superposition", "terms": [{"re": 1.0, "n": 1e300}]}},
+    "phase-space nodes beyond the ceiling": {"grid": {"n_x": 4096, "n_k": 2048}},
+    "coordinate nodes beyond the ceiling": {"coordinate_grid": {"n": 2**17}},
+    "orbit samples beyond the ceiling": {"orbit": {"x0": 1.0, "k0": 0.0, "samples": 2**21}},
+    "time nodes beyond the ceiling": {"accumulation": {"enabled": True, "time_nodes": 2**13}},
 }
 
 #: Configs that pass validation and are rejected in the run: changes and the stage that rejects them.
@@ -97,6 +108,23 @@ def test_malformed_value_exits_2_with_one_error_line(changes, tmp_path, capsys):
     assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert_one_error_line(capsys.readouterr().err, 2)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("changes", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_error_line_is_short(changes, tmp_path, capsys):
+    # a value is named, not spelled out: 1e300 as an integer has 301 digits
+    config = write_config(tmp_path, **changes)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert len(capsys.readouterr().err.encode()) < 200
+
+
+def test_count_ceilings_admit_every_workload():
+    for name, workload in json.loads(WORKLOADS.read_text(encoding="utf-8"))["workloads"].items():
+        config = parse_config(workload["config"])
+        assert config.grid.n_x * config.grid.n_k <= cli.MAX_PHASE_NODES, name
+        assert config.coordinate_grid.n <= cli.MAX_COORDINATE_NODES, name
+        assert config.orbit_samples <= cli.MAX_ORBIT_SAMPLES, name
+        assert config.accumulation_nodes <= cli.MAX_TIME_NODES, name
 
 
 @pytest.mark.parametrize("changes, stage", REJECTED_IN_RUN.values(), ids=REJECTED_IN_RUN.keys())
@@ -423,6 +451,31 @@ def test_field_csv_matches_the_row_by_row_writer(tmp_path):
     written = (tmp_path / "out" / "fields" / "W_0.000000.csv").read_bytes()
     assert written == reference.read_bytes()
     assert len(written.splitlines()) == 1 + config.grid.n_x * config.grid.n_k
+
+
+def test_whole_grid_window_gives_the_whole_grid_outputs(tmp_path, monkeypatch):
+    # SMALL's field window is its whole grid: a run whose every transform
+    # fills the whole grid writes the same bytes
+    config = parse_config({**SMALL, "accumulation": {"enabled": True, "time_nodes": 4}})
+    orbit = solve_orbit(config.potential, config.orbit_start, config.orbit_samples, config.orbit_tau_limit, config.grid.x_max)
+    assert fluxes.OrbitRegion(orbit, config.grid).field_grid is config.grid
+    windowed = cli.run(config, tmp_path / "windowed")
+    monkeypatch.setattr(fluxes, "field_transform", lambda phi, region: wigner_transform(phi, region.grid))
+    whole = cli.run(config, tmp_path / "whole")
+    for name in ("report.json", "fluxes.csv", "orbit.csv"):
+        assert (windowed / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_emitted_fields_leave_the_outputs_unchanged(tmp_path):
+    # --emit-fields transforms the whole grid; the snapshots read its field
+    # window, which equals the windowed transform bit for bit
+    raw = json.loads(WORKLOADS.read_text(encoding="utf-8"))["workloads"]["cat_nodal"]["config"]
+    config = parse_config({**raw, "output_times": [2.0]})
+    plain = cli.run(config, tmp_path / "plain")
+    emitted = cli.run(config, tmp_path / "emitted", emit_fields=True)
+    assert len((emitted / "fields" / "W_2.000000.csv").read_text().splitlines()) == 1 + 256 * 256
+    for name in ("report.json", "fluxes.csv"):
+        assert (plain / name).read_bytes() == (emitted / name).read_bytes(), name
 
 
 def test_orbit_dtau_is_validated_and_has_no_effect():

@@ -30,7 +30,7 @@ from wignerflow.fluxes import (
 from wignerflow.grid import CoordinateGrid, PhaseSpaceGrid, integrate_volume
 from wignerflow.currents import delta_current, div_w
 from wignerflow.potentials import harmonic, pure_quartic
-from wignerflow.states import EigenPropagator, WignerField, cat, coherent, evaluate_state, wigner_transform
+from wignerflow.states import CAPTURE_LIMIT, EigenPropagator, WignerField, cat, coherent, evaluate_state, wigner_transform
 
 BETAS = (0.5, 2.0, 3.0)
 
@@ -576,6 +576,79 @@ class TestPeriodAccumulation:
         # one plan of two point sets, each located on both axes; one
         # operator, since the two axes have the same nodes
         assert built[8] == built[16] == {"plans": 1, "weights": 4, "operators": 1}
+
+
+def relative(a, b):
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+class TestFieldWindow:
+    def test_plan_span_and_window_widened_by_the_reach(self, pgrid, quartic_orbit):
+        region = OrbitRegion(quartic_orbit, pgrid)
+        rows, cols = region.field_grid.window
+        assert (rows, cols) == (slice(83, 173), slice(88, 168))
+        # the k-range is symmetric about k = 0, and the plan sits FIELD_REACH inside it
+        assert cols.start + cols.stop == pgrid.n_k
+        plan = region.plan
+        assert plan.grid is region.field_grid
+        assert plan.rows.start >= fluxes.FIELD_REACH and plan.rows.stop <= rows.stop - rows.start - fluxes.FIELD_REACH
+        for window, field in zip(region.window, (rows, cols)):
+            assert field.start + fluxes.FIELD_REACH <= window.start < window.stop <= field.stop - fluxes.FIELD_REACH
+        assert region.field_grid.n_x * region.field_grid.n_k <= 0.12 * pgrid.n_x * pgrid.n_k
+
+    def test_reach_beyond_the_grid_is_the_grid(self, harmonic_orbit):
+        grid = PhaseSpaceGrid.centered(8.0, 8.0, 64, 64)
+        assert OrbitRegion(harmonic_orbit, grid).field_grid is grid
+
+    def test_whole_grid_field_is_read_through_a_view(self, pgrid, quartic_orbit, cat_w):
+        # a W on the whole grid and its transform on the field window give
+        # the same block, bit for bit
+        region, pot = OrbitRegion(quartic_orbit, pgrid), pure_quartic()
+        snap = Snapshot(cat_w, region, pot, 2)
+        assert np.shares_memory(snap.field.values, cat_w.values)
+        windowed = WignerField(cat_w.values[region.field_grid.window].copy(), region.field_grid, cat_w.tau, cat_w.norm)
+        assert Snapshot(windowed, region, pot, 2).block(BETAS) == snap.block(BETAS)
+
+    def test_windowed_snapshot_matches_the_whole_grid(self, monkeypatch, pgrid, cgrid, quartic_orbit):
+        # the series workload at tau = 1.5: the run's snapshot, on the field
+        # window, against one whose field window is the whole grid
+        pot, rows = pure_quartic(), quantities((2.0, 3.0))
+        phi = propagator(coherent(1.0, 0.5), pot, cgrid).state(1.5)
+        region = OrbitRegion(quartic_orbit, pgrid)
+        part = Snapshot(fluxes.field_transform(phi, region), region, pot, 2)
+        monkeypatch.setattr(fluxes, "FIELD_REACH", pgrid.n_x)
+        whole_region = OrbitRegion(quartic_orbit, pgrid)
+        assert whole_region.field_grid is pgrid and region.field_grid != pgrid
+        whole = Snapshot(wigner_transform(phi, pgrid), whole_region, pot, 2)
+        for q in rows:
+            assert relative(part.loop(q), whole.loop(q)) <= 1e-12, q.key
+            assert relative(part.quantity(q), whole.quantity(q)) <= 1e-12, q.key
+            if q.volume is not None:
+                (value, masked), (ref, ref_masked) = part.volume(q), whole.volume(q)
+                assert relative(value, ref) <= 1e-12 and masked == ref_masked, q.key
+
+    def test_fractional_rows_decide_their_domain_on_the_field_window(self, pgrid, cgrid, quartic_orbit):
+        # the series workload at tau = 1: the noise-level negative nodes of
+        # the field window reject beta = 0.5, and only those are counted
+        phi = propagator(coherent(1.0, 0.5), pure_quartic(), cgrid).state(1.0)
+        region = OrbitRegion(quartic_orbit, pgrid)
+        w = fluxes.field_transform(phi, region)
+        negative = int(np.count_nonzero((np.abs(w.values) > 1e-30) & (w.values < 0.0)))
+        assert 0 < negative < int(np.count_nonzero(wigner_transform(phi, pgrid).values < -1e-30))
+        with pytest.raises(RejectionError, match=f": {negative} negative nodes above floor"):
+            Snapshot(w, region, pure_quartic(), 2).volume(renyi(0.5))
+
+    def test_svn_scale_warning_silent_on_windowed_cat_fields(self, pgrid, cgrid, quartic_orbit):
+        # the cat_nodal workload: the windowed W integrates to 0.97 over its
+        # window, but its scale is the state's norm
+        pot = pure_quartic()
+        region, prop = OrbitRegion(quartic_orbit, pgrid), propagator(cat(1.5, 0.0), pot, cgrid)
+        for tau in (0.0, 2.0, 4.0):
+            w = fluxes.field_transform(prop.state(tau), region)
+            assert abs(w.total() - 1.0) > CAPTURE_LIMIT
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                Snapshot(w, region, pot, 2).loop(SVN)
 
 
 class TestSnapshotEvaluation:

@@ -224,6 +224,49 @@ class TestGridTypes:
         assert g.x[0] == -g.x[-1] == -8.0
 
 
+class TestGridCut:
+    def test_cut_keeps_the_nodes_and_spacings(self, pgrid):
+        cut = pgrid.cut(slice(83, 173), slice(88, 168))
+        assert cut.shape == (90, 80) and cut.origin == (83, 88) and cut.configured == pgrid
+        assert np.array_equal(cut.x, pgrid.x[83:173]) and np.array_equal(cut.k, pgrid.k[88:168])
+        assert (cut.h_x, cut.h_k) == (pgrid.h_x, pgrid.h_k)
+        assert cut.window == (slice(83, 173), slice(88, 168))
+        assert cut != pgrid and hash(cut) == hash(pgrid.cut(slice(83, 173), slice(88, 168)))
+
+    def test_whole_window_is_the_grid_itself(self, pgrid):
+        assert pgrid.cut(slice(0, 256), slice(0, 256)) is pgrid
+        assert pgrid.window == (slice(0, 256), slice(0, 256))
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(slice(0, 0), slice(0, 16)), (slice(250, 260), slice(0, 16)), (slice(-1, 20), slice(0, 16))]
+    )
+    def test_window_outside_the_grid_rejected(self, rows, cols, pgrid):
+        with pytest.raises(RejectionError, match="not a rectangle"):
+            pgrid.cut(rows, cols)
+
+    def test_only_a_configured_grid_is_cut(self, pgrid):
+        cut = pgrid.cut(slice(0, 32), slice(0, 32))
+        with pytest.raises(RejectionError, match="configured"):
+            cut.cut(slice(0, 16), slice(0, 16))
+
+    def test_local_maps_configured_windows_onto_the_cut(self, pgrid):
+        cut = pgrid.cut(slice(83, 173), slice(88, 168))
+        assert cut.local((slice(100, 120), slice(90, 95))) == (slice(17, 37), slice(2, 7))
+        assert cut.local((slice(0, 0), slice(0, 0))) == (slice(0, 0), slice(0, 0))
+        assert pgrid.local((slice(3, 9), slice(4, 5))) == (slice(3, 9), slice(4, 5))
+
+    def test_quadrature_on_a_cut_keeps_the_grid_weights(self, pgrid):
+        # a cut that holds the grid's first row keeps its half weight; the
+        # cut's other edges are inner nodes of the grid, with full weights
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=pgrid.shape)
+        cut = pgrid.cut(slice(0, 40), slice(100, 156))
+        mask = np.zeros(pgrid.shape, dtype=bool)
+        mask[0:40, 100:156] = True
+        whole = integrate_volume(pgrid, values, mask=mask)
+        assert integrate_volume(cut, values[cut.window]) == pytest.approx(whole, rel=1e-13)
+
+
 class TestDimensionlessMap:
     def test_identity_at_unit_scales(self):
         m = DimensionlessMap(1.0, 1.0, 1.0)

@@ -1,5 +1,7 @@
 """State catalog, Wigner transform fidelity, spectral propagation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,75 @@ class TestWignerTransform:
         restricted = wigner_transform(phi, pgrid).values
         monkeypatch.setattr(states, "_pieces_read", lambda s, m, n: (0, n - 1))
         assert np.array_equal(restricted, wigner_transform(phi, pgrid).values)
+
+
+#: The field window of the 256 x 256 benchmark grid around the quartic orbit through (1, 0).
+FIELD_WINDOW = (slice(83, 173), slice(88, 168))
+
+
+class TestWindowedTransform:
+    @pytest.mark.parametrize("spec", [coherent(1.0, 0.5), cat(1.5, 0.0)], ids=["coherent", "cat"])
+    @pytest.mark.parametrize(
+        "window", [FIELD_WINDOW, (slice(0, 20), slice(100, 156)), (slice(237, 256), slice(1, 255))],
+        ids=["field", "first_rows", "last_rows"],
+    )
+    def test_window_is_the_whole_grid_cut(self, spec, window, pgrid, cgrid):
+        # the products run on a block lattice fixed by the grid, so every
+        # node comes from the same arithmetic: equal bit for bit, which
+        # bounds the difference well below 2e-15
+        phi = evaluate_state(spec, cgrid)
+        whole, part = wigner_transform(phi, pgrid), wigner_transform(phi, pgrid, window)
+        assert part.grid == pgrid.cut(*window) and part.values.shape == part.grid.shape
+        assert np.array_equal(part.values, whole.values[window])
+        assert part.tau == whole.tau and part.norm == whole.norm == phi.norm()
+
+    @pytest.mark.parametrize("n_k", [256, 255], ids=["even", "odd"])
+    def test_odd_axis_window_is_the_whole_grid_cut(self, n_k, cgrid):
+        grid = PhaseSpaceGrid.centered(8.0, 8.0, 64, n_k)
+        phi = evaluate_state(coherent(1.0, 0.5), cgrid)
+        window = (slice(10, 50), slice(100, n_k - 100))
+        assert np.array_equal(wigner_transform(phi, grid, window).values, wigner_transform(phi, grid).values[window])
+
+    def test_whole_window_is_the_whole_transform(self, pgrid, cgrid):
+        phi = evaluate_state(cat(1.5, 0.0), cgrid)
+        part = wigner_transform(phi, pgrid, pgrid.window)
+        assert part.grid is pgrid
+        assert np.array_equal(part.values, wigner_transform(phi, pgrid).values)
+
+    def test_asymmetric_k_range_rejected(self, pgrid, cgrid):
+        # the k < 0 columns are mirrors of the k >= 0 ones
+        phi = evaluate_state(coherent(1.0, 0.5), cgrid)
+        with pytest.raises(RejectionError, match="not symmetric about k = 0"):
+            wigner_transform(phi, pgrid, (slice(83, 173), slice(88, 170)))
+
+
+class TestCaptureGuard:
+    def test_k_tail_is_the_closed_form(self, cgrid):
+        # coherent(0, 3.5) holds 0.5 erfc(0.5) of its norm at |k| > 4
+        narrow = PhaseSpaceGrid.centered(8.0, 4.0, 256, 256)
+        x_tail, k_tail = states.capture_defect(evaluate_state(coherent(0.0, 3.5), cgrid), narrow)
+        assert x_tail < 1e-20
+        assert k_tail == pytest.approx(0.5 * math.erfc(0.5), abs=1e-12)
+
+    def test_x_tail_rejected(self, pgrid, cgrid):
+        # coherent(6.5, 0) holds 0.5 erfc(1.5) = 0.0169 of its norm at x > 8
+        phi = evaluate_state(coherent(6.5, 0.0), cgrid)
+        x_tail, k_tail = states.capture_defect(phi, pgrid)
+        assert x_tail == pytest.approx(0.5 * math.erfc(1.5), abs=1e-3)
+        assert abs(k_tail) < 1e-12
+        with pytest.raises(RejectionError, match=r"capture defect = 1\.67\de-02 \(x-tail"):
+            wigner_transform(phi, pgrid)
+        with pytest.raises(RejectionError, match="capture defect"):
+            wigner_transform(phi, pgrid, FIELD_WINDOW)
+
+    def test_window_inside_the_grid_is_not_a_missed_state(self, pgrid, cgrid):
+        # the cat's lobes at x = -/+1.5 lie mostly outside these rows; the
+        # guard reads the state on the configured grid, not W on the window
+        phi = evaluate_state(cat(1.5, 0.0), cgrid)
+        window = (slice(112, 144), slice(96, 160))
+        part = wigner_transform(phi, pgrid, window)
+        assert abs(part.total() - phi.norm()) > 10 * states.CAPTURE_LIMIT
+        assert max(map(abs, states.capture_defect(phi, pgrid))) < 1e-12
 
 
 class TestEvolveWavefunction:
